@@ -456,6 +456,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # an internal invariant failed, e.g. a negative multiplicity
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from .partitions import conjugate, normalize, padded
+from .partitions import conjugate, iter_distinct_permutations, normalize, padded
 
 ENUMERATION_LIMIT = 12  # k! paths refuse anything larger
 BRUTEFORCE_LIMIT = 8
@@ -53,30 +53,7 @@ def orbit_elements(o, N: int) -> set:
     o = _check_tuple(o, N)
     if len(o) > ENUMERATION_LIMIT:
         raise ValueError(f"k = {len(o)} too large for orbit enumeration")
-    return set(_iter_distinct_permutations(o))
-
-
-def _iter_distinct_permutations(o):
-    """Distinct permutations of a tuple without generating duplicates."""
-    counts = {}
-    for x in o:
-        counts[x] = counts.get(x, 0) + 1
-    values = sorted(counts)
-    k = len(o)
-    slot = [0] * k
-
-    def rec(i):
-        if i == k:
-            yield tuple(slot)
-            return
-        for v in values:
-            if counts[v]:
-                counts[v] -= 1
-                slot[i] = v
-                yield from rec(i + 1)
-                counts[v] += 1
-
-    yield from rec(0)
+    return set(iter_distinct_permutations(o))
 
 
 def _check_pair(a, b, ctx):
@@ -156,7 +133,7 @@ def m_coefficient_bruteforce(a, b, c, ctx) -> int:
     a_hat = standard_form(a, N)
     c_hat = standard_form(c, N)
     seen = set()
-    for y in _iter_distinct_permutations(standard_form(b, N)):
+    for y in iter_distinct_permutations(standard_form(b, N)):
         z = tuple((x + yi) % N for x, yi in zip(a_hat, y))
         if tuple(sorted(z, reverse=True)) != c_hat:
             continue

@@ -207,6 +207,29 @@ def partitions_in_box(rows: int, cols: int) -> Iterator[tuple]:
     yield from rec((), cols, rows)
 
 
+def iter_distinct_permutations(t) -> Iterator[tuple]:
+    """Distinct permutations of a tuple in lexicographic order, no duplicates.
+
+    Each step is the classical next-permutation move: find the last ascent
+    a_i < a_{i+1}, swap a_i with the rightmost larger entry, and reverse
+    the suffix after i.
+    """
+    a = sorted(t)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
+
+
 # -- tableaux ----------------------------------------------------------------
 
 
@@ -296,39 +319,76 @@ def count_cylindric_tableaux(outer, inner, content, ctx) -> int:
     )
 
 
+def _strips_removed(lam, m: int):
+    """Partitions mu inside lam with lam/mu a horizontal strip of m boxes."""
+    n = len(lam)
+
+    def rec(i, rest, prefix):
+        if i == n:
+            if rest == 0:
+                yield normalize(prefix)
+            return
+        # rows i.. can give up at most lam_i boxes in one horizontal strip
+        if rest > lam[i]:
+            return
+        floor = lam[i + 1] if i + 1 < n else 0
+        for take in range(min(rest, lam[i] - floor) + 1):
+            yield from rec(i + 1, rest - take, prefix + (lam[i] - take,))
+
+    yield from rec(0, m, ())
+
+
 def tableau_contents(shape, max_entry: int, box_limit: int = 30) -> dict:
     """Content multiset of all tableaux of a straight shape, entries 1..max_entry.
 
     Returns {content tuple of length max_entry: number of tableaux}.  The
     total count is the dimension of the irreducible module labelled by the
     shape.
+
+    No tableau is filled.  The count for a content is the Kostka number
+    K_{shape,nu} of its decreasing rearrangement nu, since weight
+    multiplicities are invariant under permuting the entries.  Kostka
+    numbers are computed only for these dominant contents, by branching:
+    the boxes holding the largest entry n form a horizontal strip of nu_n
+    boxes, so K_{lam,nu} sums K_{mu,(nu_1..nu_{n-1})} over the partitions mu
+    with lam/mu such a strip.  Each nu is then expanded over its distinct
+    permutations.
     """
     shape = normalize(shape)
-    if sum(shape) > box_limit:
+    total = sum(shape)
+    if total > box_limit:
         raise ValueError(f"shape {shape} exceeds the {box_limit}-box guard")
-    spans = _skew_grid(shape, ())
-    cells = [(r, c) for r, (start, stop) in enumerate(spans) for c in range(start, stop)]
-    counts: dict = {}
-    content = [0] * max_entry
-    grid: dict = {}
+    bounds = [sum(shape[: i + 1]) for i in range(len(shape))]
+    memo: dict = {}
 
-    def fill(idx):
-        if idx == len(cells):
-            key = tuple(content)
-            counts[key] = counts.get(key, 0) + 1
+    def kostka(lam, nu):
+        if len(lam) > len(nu):
+            return 0
+        if not nu:
+            return 1
+        key = (lam, nu)
+        if key not in memo:
+            memo[key] = sum(
+                kostka(mu, nu[:-1]) for mu in _strips_removed(lam, nu[-1])
+            )
+        return memo[key]
+
+    def dominated(prefix, rest, largest):
+        """Partitions nu of the remaining boxes with nu <= shape in dominance."""
+        if rest == 0:
+            yield prefix
             return
-        r, c = cells[idx]
-        lo = 1
-        if (r, c - 1) in grid:
-            lo = max(lo, grid[(r, c - 1)])
-        if (r - 1, c) in grid:
-            lo = max(lo, grid[(r - 1, c)] + 1)
-        for v in range(lo, max_entry + 1):
-            grid[(r, c)] = v
-            content[v - 1] += 1
-            fill(idx + 1)
-            content[v - 1] -= 1
-            del grid[(r, c)]
+        i = len(prefix)
+        if i == max_entry:
+            return
+        cap = bounds[i] - (total - rest) if i < len(bounds) else rest
+        for x in range(min(largest, rest, cap), 0, -1):
+            yield from dominated(prefix + (x,), rest - x, x)
 
-    fill(0)
+    counts: dict = {}
+    for nu in dominated((), total, total):
+        count = kostka(shape, nu)
+        if count:
+            for content in iter_distinct_permutations(padded(nu, max_entry)):
+                counts[content] = count
     return counts

@@ -3,7 +3,11 @@
 Both algorithms shift the tableau contents of one factor by the other
 factor's partition plus the staircase rho = (N-1, ..., 1, 0) and push the
 resulting length-N sequences back into a fundamental region, accumulating
-an alternating sum.  For tensor products the region is the strictly
+an alternating sum.  The contents and their counts are weight
+multiplicities: dominant-weight Kostka numbers, each expanded over its S_N
+orbit (``partitions.tableau_contents``); no tableau is filled.  Both
+products are commutative, so the sum runs over the factor whose module has
+the smaller Weyl dimension.  For tensor products the region is the strictly
 decreasing sequences (finite Weyl group, i.e. sorting); at level k an extra
 affine reflection bounds the spread of a sorted sequence s by N + k:
 
@@ -68,9 +72,9 @@ def _check_weight(w, N: int) -> tuple:
 def weight_multiplicities(lam, N: int, box_limit: int = BOX_LIMIT) -> dict:
     """Weight-space dimensions of the module with highest weight lam.
 
-    Tableaux of the shape attached to lam with entries 1..N are grouped by
-    content; each content maps to the weight given by its consecutive
-    differences.  The total count is the dimension of the module.
+    Each tableau content of the shape attached to lam, entries 1..N, maps
+    to the weight given by its consecutive differences.  The total count is
+    the dimension of the module.
     """
     lam = _check_weight(lam, N)
     shape = weight_to_partition(lam)
@@ -82,6 +86,13 @@ def weight_multiplicities(lam, N: int, box_limit: int = BOX_LIMIT) -> dict:
 
 
 def _alternating_sum(lam, mu, N, wall, box_limit):
+    # Both products are commutative, so walk the contents of the smaller
+    # module; a factor over the box guard is never swapped in.
+    if (
+        module_dimension(mu, N) < module_dimension(lam, N)
+        and sum(weight_to_partition(mu)) <= box_limit
+    ):
+        lam, mu = mu, lam
     shape = weight_to_partition(lam)
     shift = _shift_vector(mu, N)
     acc: dict = {}
@@ -125,6 +136,16 @@ def kac_walton_fusion(lam, mu, ctx, box_limit: int = BOX_LIMIT) -> dict:
     return _alternating_sum(lam, mu, N, N + k, box_limit)
 
 
-def module_dimension(lam, N: int, box_limit: int = BOX_LIMIT) -> int:
-    """Dimension of the irreducible module with highest weight lam."""
-    return sum(weight_multiplicities(lam, N, box_limit).values())
+def module_dimension(lam, N: int) -> int:
+    """Dimension of the irreducible module with highest weight lam.
+
+    Weyl's formula prod_{i<j} (p_i - p_j + j - i) / (j - i), with p the
+    partition of lam padded to N rows.
+    """
+    p = padded(weight_to_partition(_check_weight(lam, N)), N)
+    num = den = 1
+    for i in range(N):
+        for j in range(i + 1, N):
+            num *= p[i] - p[j] + j - i
+            den *= j - i
+    return num // den

@@ -44,7 +44,9 @@ from fusionkit.weyl import (
     weight_multiplicities,
 )
 
-THREE_WAY_CONTEXTS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3)]
+THREE_WAY_CONTEXTS = [
+    (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (6, 2), (7, 2),
+]
 
 
 def _raw_on_expansion(expansion, factor, ctx):

@@ -123,6 +123,21 @@ class TestFuse:
                     assert code == 0
                     assert out.strip().endswith("AGREE")
 
+    def test_negative_multiplicity_exits_1(self, run, monkeypatch):
+        from fusionkit import weyl
+
+        def fail(*args):
+            raise ArithmeticError("negative multiplicity -1 at (3, 1, 0)")
+
+        monkeypatch.setattr(weyl, "_alternating_sum", fail)
+        code, out, err = run(
+            "fuse", "--N", "3", "--k", "2", "--lhs", "[1]", "--rhs", "[1]",
+            "--method", "kac-walton",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: negative multiplicity -1 at (3, 1, 0)\n"
+
 
 class TestTensor:
     def test_methods_agree(self, run):

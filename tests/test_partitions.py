@@ -26,6 +26,7 @@ from fusionkit.partitions import (
     weight_to_orbit,
     weight_to_partition,
 )
+from fusionkit.weyl import module_dimension
 
 
 @st.composite
@@ -321,3 +322,21 @@ class TestTableauContents:
     def test_box_guard(self):
         with pytest.raises(ValueError):
             tableau_contents((20, 20), 3)
+
+    def test_matches_skew_tableau_enumerator(self):
+        for N in (2, 3, 4):
+            for shape in partitions_in_box(N, 3):
+                n = sum(shape)
+                # compositions of n into N parts: a weight of sum <= n,
+                # completed by the remainder
+                expected = {}
+                for w in level_k_weights(N, n):
+                    content = w + (n - sum(w),)
+                    count = count_skew_tableaux(shape, (), content)
+                    if count:
+                        expected[content] = count
+                contents = tableau_contents(shape, N)
+                assert contents == expected, (N, shape)
+                assert sum(contents.values()) == module_dimension(
+                    partition_to_weight(shape, N), N
+                )

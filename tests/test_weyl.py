@@ -65,6 +65,13 @@ class TestRacahSpeiser:
                     b, a, 3
                 )
 
+    def test_factor_over_box_guard_is_not_walked(self):
+        # (31,0) has the smaller module but 31 boxes; (10,10) has 30
+        prod = racah_speiser_tensor((10, 10), (31, 0), 3)
+        assert sum(
+            m * module_dimension(nu, 3) for nu, m in prod.items()
+        ) == module_dimension((10, 10), 3) * module_dimension((31, 0), 3)
+
     def test_dimension_multiplicative(self):
         for N in (3, 4):
             shapes = [p for p in partitions_in_box(N - 1, 2) if sum(p) <= 8]
@@ -100,15 +107,16 @@ class TestKacWalton:
             kac_walton_fusion((2, 2), (0, 0), (3, 3))
 
     def test_commutative_and_nonnegative(self):
-        ctx = fusion_context(3, 3)
-        b = basis(ctx)
-        for p in b:
-            for q in b:
-                lam, mu = partition_to_weight(p, 3), partition_to_weight(q, 3)
-                left = kac_walton_fusion(lam, mu, ctx)
-                assert left == kac_walton_fusion(mu, lam, ctx)
-                assert all(m > 0 for m in left.values())
-                assert all(sum(w) <= 3 for w in left)
+        for N, k in [(3, 3), (6, 2), (4, 3)]:
+            ctx = fusion_context(N, k)
+            b = basis(ctx)
+            for p in b:
+                for q in b:
+                    lam, mu = partition_to_weight(p, N), partition_to_weight(q, N)
+                    left = kac_walton_fusion(lam, mu, ctx)
+                    assert left == kac_walton_fusion(mu, lam, ctx)
+                    assert all(m > 0 for m in left.values())
+                    assert all(sum(w) <= k for w in left)
 
     def test_matches_jacobi_trudi(self):
         for N, k in [(3, 2), (3, 3), (4, 2)]:
