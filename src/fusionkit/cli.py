@@ -284,6 +284,8 @@ def cache_lookup(path: str, N: int, k: int):
         table = fusion.FusionTable.from_json_dict(data)
         if table.N != N or table.k != k:
             raise ValueError(f"cached table is for N={table.N}, k={table.k}")
+        if list(table.basis) != fusion.basis((N, k)):
+            raise ValueError("cached basis differs from the canonical basis")
         return table
     except (ValueError, KeyError, IndexError, TypeError, json.JSONDecodeError) as exc:
         print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)

@@ -4,9 +4,10 @@ Basis elements are the partitions inside the (N-1) x k box.  Multiplication
 by a one-row factor h_m follows the level-k Pieri rule (row strips inside
 the N x k box, full columns stripped afterwards); a general product expands
 one factor as its homogeneous Jacobi-Trudi determinant, with h_m = 0
-whenever m is outside 0..k, and iterates the Pieri rule over each
-determinant term.  Signed intermediates must cancel to a non-negative
-result; that cancellation is asserted on every product.
+whenever m is outside 0..k.  The determinant is expanded row by row over
+the sets of used columns (partitions.det_expand), each entry acting as a
+Pieri step.  Signed intermediates must cancel to a non-negative result;
+that cancellation is asserted on every product.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from math import comb
 from .orbits import raw_orbit_product
 from .partitions import (
     count_cylindric_tableaux,
+    det_expand,
+    fusion_context,
     normalize,
     padded,
     partition_to_orbit,
@@ -88,24 +91,13 @@ def pieri_e(p, m: int, ctx) -> dict:
     return out
 
 
-def _iterate_pieri_h(start: dict, ms, ctx) -> dict:
-    cur = dict(start)
-    for m in ms:
-        nxt: dict = {}
-        for p, mult in cur.items():
-            for q, one in pieri_h(p, m, ctx).items():
-                nxt[q] = nxt.get(q, 0) + mult * one
-        cur = nxt
-    return cur
-
-
 def multiply(p, q, ctx) -> dict:
-    """Product of two basis elements, via Jacobi-Trudi iteration.
+    """Product of two basis elements, via the Jacobi-Trudi determinant.
 
-    The factor with fewer rows is expanded: sum over permutations sigma of
-    sign(sigma) h_{q_i - i + sigma(i)}, each term acting on the other factor
-    through iterated Pieri rules.  Terms with an index outside 0..k vanish.
-    Chains are memoized by their sorted index multiset.
+    The factor q with fewer rows is written as det[h_{q_i - i + j}], and
+    that determinant acts on the other factor through Pieri steps; it is
+    expanded row by row over the sets of used columns by
+    partitions.det_expand.  Entries h_m with m outside 0..k vanish.
     """
     N, k = ctx
     p, q = _check_basis_element(p, ctx), _check_basis_element(q, ctx)
@@ -115,34 +107,13 @@ def multiply(p, q, ctx) -> dict:
         return {q: 1}
     if len(p) < len(q):
         p, q = q, p
-    L = len(q)
-    acc: dict = {}
-    chains: dict = {}
-    for sigma in itertools.permutations(range(L)):
-        idx = tuple(q[i] - i + sigma[i] for i in range(L))
-        if any(not 0 <= m <= k for m in idx):
-            continue
-        key = tuple(sorted(idx))
-        if key not in chains:
-            chains[key] = _iterate_pieri_h({p: 1}, key, ctx)
-        sign = 1 if _inversions(sigma) % 2 == 0 else -1
-        for r, mult in chains[key].items():
-            acc[r] = acc.get(r, 0) + sign * mult
+    acc = det_expand({p: 1}, q, lambda r, m: pieri_h(r, m, ctx), 0, k)
     bad = {r: mult for r, mult in acc.items() if mult < 0}
     if bad:
         raise ArithmeticError(
             f"negative multiplicities {bad} in product {p} * {q} at {tuple(ctx)}"
         )
-    return {r: mult for r, mult in acc.items() if mult}
-
-
-def _inversions(perm) -> int:
-    return sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
+    return acc
 
 
 def multiply_by_h_sequence(p, eps, ctx) -> dict:
@@ -193,67 +164,17 @@ def simple_current_power(p, t: int, ctx) -> tuple:
 # -- classical (level-free) products, for tensor decompositions --------------
 
 
-def pieri_h_tensor(p, m: int, N: int) -> dict:
-    """Classical Pieri rule: row strips with at most N rows, no width bound."""
-    p = normalize(p)
-    if len(p) > N - 1:
-        raise ValueError(f"partition {p} has more than {N - 1} rows")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    pp = padded(p, N)
-    out: dict = {}
-
-    def rec(i, prev, rest, acc):
-        if i == N:
-            if rest == 0:
-                key = reduce_full_columns(acc, N)
-                out[key] = out.get(key, 0) + 1
-            return
-        hi = min(prev, pp[i] + rest)
-        if i > 0:
-            hi = min(hi, pp[i - 1])
-        for x in range(pp[i], hi + 1):
-            rec(i + 1, x, rest - (x - pp[i]), acc + (x,))
-
-    rec(0, pp[0] + m, m, ())
-    return out
-
-
 def tensor_multiply(p, q, N: int) -> dict:
-    """Tensor-product multiplicities via the classical Jacobi-Trudi iteration."""
+    """Tensor-product multiplicities: the fusion product at level p_1 + q_1.
+
+    At that level no weight of V_p (x) V_q, shifted by rho, reaches the
+    affine wall, so the fusion product equals the classical one.
+    """
     p, q = normalize(p), normalize(q)
     if len(p) > N - 1 or len(q) > N - 1:
         raise ValueError(f"factors must have at most {N - 1} rows")
-    if not q:
-        return {p: 1}
-    if not p:
-        return {q: 1}
-    if len(p) < len(q):
-        p, q = q, p
-    L = len(q)
-    acc: dict = {}
-    chains: dict = {}
-    for sigma in itertools.permutations(range(L)):
-        idx = tuple(q[i] - i + sigma[i] for i in range(L))
-        if any(m < 0 for m in idx):
-            continue
-        key = tuple(sorted(idx))
-        if key not in chains:
-            cur = {p: 1}
-            for m in key:
-                nxt: dict = {}
-                for r, mult in cur.items():
-                    for s, one in pieri_h_tensor(r, m, N).items():
-                        nxt[s] = nxt.get(s, 0) + mult * one
-                cur = nxt
-            chains[key] = cur
-        sign = 1 if _inversions(sigma) % 2 == 0 else -1
-        for r, mult in chains[key].items():
-            acc[r] = acc.get(r, 0) + sign * mult
-    bad = {r: mult for r, mult in acc.items() if mult < 0}
-    if bad:
-        raise ArithmeticError(f"negative multiplicities {bad} in {p} * {q}")
-    return {r: mult for r, mult in acc.items() if mult}
+    width = (p[0] if p else 0) + (q[0] if q else 0)
+    return multiply(p, q, fusion_context(N, max(1, width)))
 
 
 # -- tables and axioms --------------------------------------------------------
@@ -292,6 +213,7 @@ class FusionTable:
 
     @classmethod
     def from_json_dict(cls, data) -> "FusionTable":
+        """Inverse of to_json_dict; a malformed entry raises ValueError."""
         if data.get("schema") != "fusionkit/table/v1":
             raise ValueError(f"unsupported schema {data.get('schema')!r}")
         base = tuple(tuple(p) for p in data["basis"])
@@ -305,6 +227,12 @@ class FusionTable:
             for b in range(n):
                 dense = [0] * n
                 for c, m in flat[a * n + b]:
+                    if type(c) is not int or not 0 <= c < n or dense[c]:
+                        raise ValueError(
+                            f"bad or repeated result index {c!r} for pair {a}, {b}"
+                        )
+                    if type(m) is not int or m <= 0:
+                        raise ValueError(f"bad multiplicity {m!r} for pair {a}, {b}")
                     dense[c] = m
                 row.append(tuple(dense))
             constants.append(tuple(row))

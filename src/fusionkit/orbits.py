@@ -11,9 +11,13 @@ which the raw product provably has 0/1 coefficients.
 
 from __future__ import annotations
 
-import itertools
-
-from .partitions import conjugate, iter_distinct_permutations, normalize, padded
+from .partitions import (
+    conjugate,
+    det_expand,
+    iter_distinct_permutations,
+    normalize,
+    padded,
+)
 
 ENUMERATION_LIMIT = 12  # k! paths refuse anything larger
 BRUTEFORCE_LIMIT = 8
@@ -197,25 +201,15 @@ def orbit_partition(o) -> tuple:
     return conjugate(normalize(tuple(sorted(o, reverse=True))))
 
 
-def _permutation_sign(perm) -> int:
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
 def fixed_product(a, b, ctx) -> dict:
     """Associative product on orbits matching the fusion coefficients.
 
     Staircase factors multiply by the raw rule directly.  Any other factor
     is expanded through its homogeneous determinant: with q the partition of
-    b, sum over permutations sign(sigma) times the chain of multiplications
-    by [(1^{q_i - i + sigma(i)}, 0^...)], where an index outside 0..k kills
-    the term.  Chains are memoized by their sorted index multiset, which is
-    sound because the step products commute.
+    b, det[x_{q_i - i + j}], where x_m is multiplication by
+    [(1^m, 0^{k-m})] and an index outside 0..k is a zero entry.  The step
+    products commute, so partitions.det_expand expands the determinant row
+    by row over the sets of used columns.
     """
     N, k = ctx
     a, b = _check_pair(a, b, ctx)
@@ -230,33 +224,19 @@ def fixed_product(a, b, ctx) -> dict:
     # expand the factor whose partition has fewer rows
     if len(orbit_partition(a)) < len(orbit_partition(b)):
         a, b = b, a
-    q = orbit_partition(b)
-    L = len(q)
-    acc: dict = {}
-    chains: dict = {}
-    for sigma in itertools.permutations(range(L)):
-        idx = tuple(q[i] - i + sigma[i] for i in range(L))
-        if any(not 0 <= m <= k for m in idx):
-            continue
-        key = tuple(sorted(idx))
-        if key not in chains:
-            cur = {a: 1}
-            for m in key:
-                nxt: dict = {}
-                for rep, mult in cur.items():
-                    for res, one in special_orbit_product(rep, m, ctx).items():
-                        nxt[res] = nxt.get(res, 0) + mult * one
-                cur = nxt
-            chains[key] = cur
-        sign = _permutation_sign(sigma)
-        for rep, mult in chains[key].items():
-            acc[rep] = acc.get(rep, 0) + sign * mult
+    acc = det_expand(
+        {a: 1},
+        orbit_partition(b),
+        lambda rep, m: special_orbit_product(rep, m, ctx),
+        0,
+        k,
+    )
     bad = {rep: mult for rep, mult in acc.items() if mult < 0}
     if bad:
         raise ArithmeticError(
             f"negative multiplicities {bad} in fixed product {a} . {b}"
         )
-    return {rep: mult for rep, mult in acc.items() if mult}
+    return acc
 
 
 # -- finitely supported variant ----------------------------------------------

@@ -230,6 +230,45 @@ def iter_distinct_permutations(t) -> Iterator[tuple]:
         a[i + 1 :] = reversed(a[i + 1 :])
 
 
+# -- determinant expansion ---------------------------------------------------
+
+
+def det_expand(start: dict, q, step, lo: int, hi: int) -> dict:
+    """Apply det[step(., q_i - i + j)] (0-based i, j) to the signed dict start.
+
+    The entries must commute as operators; step(r, m) maps a label to a
+    {label: multiplicity} dict, and an index m outside lo..hi is a zero
+    entry.  The determinant is expanded row by row, keeping one signed dict
+    per set of used columns (a bitmask): placing row i in a free column j
+    contributes the sign (-1)^(used columns > j).  That is 2^L * L steps
+    instead of L! permutations, and terms cancel as each row is placed.
+    """
+    L = len(q)
+    states = {0: dict(start)}
+    for i in range(L):
+        nxt: dict = {}
+        for used, cur in states.items():
+            sign = 1
+            for j in range(L - 1, -1, -1):
+                bit = 1 << j
+                if used & bit:
+                    sign = -sign
+                    continue
+                m = q[i] - i + j
+                if not lo <= m <= hi:
+                    continue
+                target = nxt.setdefault(used | bit, {})
+                for r, mult in cur.items():
+                    for s, one in step(r, m).items():
+                        target[s] = target.get(s, 0) + sign * mult * one
+        states = {}
+        for used, cur in nxt.items():
+            cur = {r: mult for r, mult in cur.items() if mult}
+            if cur:
+                states[used] = cur
+    return states.get((1 << L) - 1, {})
+
+
 # -- tableaux ----------------------------------------------------------------
 
 

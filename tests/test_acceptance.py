@@ -124,25 +124,37 @@ def test_criterion_01_golden_examples():
     print("ACCEPTANCE 1 PASS: golden examples reproduced exactly")
 
 
+def _assert_three_way(p, q, ctx):
+    N, _ = ctx
+    jt = multiply(p, q, ctx)
+    kw = {
+        weight_to_partition(w): m
+        for w, m in kac_walton_fusion(
+            partition_to_weight(p, N), partition_to_weight(q, N), ctx
+        ).items()
+    }
+    fx = {
+        orbit_to_partition(o): m
+        for o, m in fixed_product(
+            partition_to_orbit(p, ctx), partition_to_orbit(q, ctx), ctx
+        ).items()
+    }
+    assert jt == kw == fx, (tuple(ctx), p, q)
+
+
 def test_criterion_02_three_way_oracle_equivalence():
     for N, k in THREE_WAY_CONTEXTS:
         ctx = fusion_context(N, k)
         for p in basis(ctx):
             for q in basis(ctx):
-                jt = multiply(p, q, ctx)
-                kw = {
-                    weight_to_partition(w): m
-                    for w, m in kac_walton_fusion(
-                        partition_to_weight(p, N), partition_to_weight(q, N), ctx
-                    ).items()
-                }
-                fx = {
-                    orbit_to_partition(o): m
-                    for o, m in fixed_product(
-                        partition_to_orbit(p, ctx), partition_to_orbit(q, ctx), ctx
-                    ).items()
-                }
-                assert jt == kw == fx, (N, k, p, q)
+                _assert_three_way(p, q, ctx)
+    # both determinant routes at L = 9: every basis p against each 9-row q
+    ctx = fusion_context(10, 2)
+    tall = [q for q in basis(ctx) if len(q) == 9]
+    assert len(tall) == 10
+    for p in basis(ctx):
+        for q in tall:
+            _assert_three_way(p, q, ctx)
     print("ACCEPTANCE 2 PASS: Jacobi-Trudi = Kac-Walton = fixed orbit product")
 
 

@@ -261,6 +261,63 @@ class TestTableCache:
         with open(path) as fh:
             assert json.load(fh)["schema"] == "fusionkit/table/v1"
 
+    def _edited_cache(self, run, tmp_path, edit):
+        cache = str(tmp_path)
+        code, out, _ = run(
+            "table", "--N", "3", "--k", "2", "--cache-dir", cache, "--format", "json"
+        )
+        assert code == 0
+        good = json.loads(out)
+        path = os.path.join(cache, "table_N3_k2.json")
+        with open(path) as fh:
+            data = json.load(fh)
+        edit(data)
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        return cache, path, good
+
+    def test_out_of_range_index_recomputes_with_warning(self, run, tmp_path):
+        def edit(data):
+            assert data["basis"][0] == [] and data["constants"][0] == [[0, 1]]
+            data["constants"][0] = [[-1, 1]]
+
+        cache, path, good = self._edited_cache(run, tmp_path, edit)
+        code, out, err = run(
+            "table", "--N", "3", "--k", "2", "--cache-dir", cache, "--format", "json"
+        )
+        assert code == 0
+        assert "warning" in err and "index -1" in err
+        assert json.loads(out) == good
+        with open(path) as fh:
+            assert json.load(fh) == good
+
+    def test_bad_multiplicities_recompute_with_warning(self, run, tmp_path):
+        for bad in (0, -2, 1.0, True, "1"):
+            def edit(data):
+                data["constants"][0] = [[0, bad]]
+
+            cache, path, good = self._edited_cache(run, tmp_path, edit)
+            code, out, err = run(
+                "table", "--N", "3", "--k", "2", "--cache-dir", cache, "--format", "json"
+            )
+            assert code == 0
+            assert "warning" in err and "multiplicity" in err, bad
+            assert json.loads(out) == good
+
+    def test_permuted_basis_recomputes_with_warning(self, run, tmp_path):
+        def edit(data):
+            data["basis"][1], data["basis"][2] = data["basis"][2], data["basis"][1]
+
+        cache, path, good = self._edited_cache(run, tmp_path, edit)
+        code, out, err = run(
+            "table", "--N", "3", "--k", "2", "--cache-dir", cache, "--verify-axioms"
+        )
+        assert code == 0
+        assert "warning" in err and "basis" in err
+        assert out.count("PASS") == 6
+        with open(path) as fh:
+            assert json.load(fh) == good
+
     def test_env_var_cache_dir(self, run, tmp_path, monkeypatch):
         monkeypatch.setenv("FUSIONKIT_CACHE", str(tmp_path))
         code, _, _ = run("table", "--N", "2", "--k", "2")

@@ -14,7 +14,6 @@ from fusionkit.fusion import (
     multiply_by_h_sequence,
     pieri_e,
     pieri_h,
-    pieri_h_tensor,
     simple_current_power,
     tensor_multiply,
     verify_fusion_axioms,
@@ -251,14 +250,6 @@ class TestSimpleCurrentPower:
 
 
 class TestTensorMultiply:
-    def test_pieri_h_tensor_has_no_width_bound(self):
-        assert pieri_h_tensor((2, 1), 2, 3) == {
-            (4, 1): 1,
-            (3, 2): 1,
-            (2,): 1,  # (3,1,1) reduced
-            (1, 1): 1,  # (2,2,1) reduced
-        }
-
     def test_identity(self):
         assert tensor_multiply((2, 1), (), 3) == {(2, 1): 1}
 

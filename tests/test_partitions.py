@@ -1,14 +1,19 @@
 import itertools
+import random
 from collections import Counter
+from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fusionkit.fusion import basis, pieri_h
+from fusionkit.orbits import special_orbit_product
 from fusionkit.partitions import (
     conjugate,
     count_cylindric_tableaux,
     count_skew_tableaux,
+    det_expand,
     equivalent,
     fusion_context,
     is_column_strip,
@@ -19,6 +24,7 @@ from fusionkit.partitions import (
     normalize,
     orbit_to_partition,
     padded,
+    partition_to_orbit,
     partition_to_weight,
     partitions_in_box,
     reduce_full_columns,
@@ -340,3 +346,97 @@ class TestTableauContents:
                 assert sum(contents.values()) == module_dimension(
                     partition_to_weight(shape, N), N
                 )
+
+
+def _leibniz(start, q, step, lo, hi):
+    """Reference: sum over permutations of sign(sigma) times the step chain."""
+    L = len(q)
+    acc = {}
+    for sigma in itertools.permutations(range(L)):
+        idx = [q[i] - i + sigma[i] for i in range(L)]
+        if any(not lo <= m <= hi for m in idx):
+            continue
+        inversions = sum(
+            1 for i in range(L) for j in range(i + 1, L) if sigma[i] > sigma[j]
+        )
+        cur = dict(start)
+        for m in idx:
+            nxt = {}
+            for r, mult in cur.items():
+                for s, one in step(r, m).items():
+                    nxt[s] = nxt.get(s, 0) + mult * one
+            cur = nxt
+        for r, mult in cur.items():
+            acc[r] = acc.get(r, 0) + (-1) ** inversions * mult
+    return {r: mult for r, mult in acc.items() if mult}
+
+
+def _numeric_det(rows):
+    """Determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= factor * a[col][c]
+    return det
+
+
+class TestDetExpand:
+    def test_pieri_step_matches_leibniz(self):
+        for N, k in ((4, 3), (5, 2), (6, 2)):
+            ctx = fusion_context(N, k)
+            base = basis(ctx)
+            starts = [{base[0]: 1}, {base[len(base) // 2]: 1}, {base[-1]: 2}]
+
+            def step(r, m):
+                return pieri_h(r, m, ctx)
+
+            for q in base:
+                for start in starts:
+                    expected = _leibniz(start, q, step, 0, k)
+                    assert det_expand(start, q, step, 0, k) == expected, (N, k, q)
+
+    def test_orbit_step_matches_leibniz(self):
+        ctx = fusion_context(4, 3)
+        orbits = [partition_to_orbit(p, ctx) for p in basis(ctx)]
+        starts = [{orbits[0]: 1}, {orbits[7]: 1}, {orbits[-1]: 1, orbits[3]: -1}]
+
+        def step(r, m):
+            return special_orbit_product(r, m, ctx)
+
+        for q in basis(ctx):
+            for start in starts:
+                assert det_expand(start, q, step, 0, 3) == _leibniz(
+                    start, q, step, 0, 3
+                ), q
+
+    def test_scalar_step_is_the_numeric_determinant(self):
+        rng = random.Random(7)
+        c = {m: rng.choice([-3, -2, -1, 1, 2, 3, 5]) for m in range(-4, 10)}
+
+        def step(x, m):
+            return {x: c[m]}
+
+        # (0, 2) kills every entry of a row with q_i - i >= 3, e.g. q = (4,)
+        for lo, hi in ((0, 4), (0, 2), (1, 3), (-4, 9)):
+            for q in partitions_in_box(5, 4):
+                L = len(q)
+                rows = [
+                    [c[q[i] - i + j] if lo <= q[i] - i + j <= hi else 0
+                     for j in range(L)]
+                    for i in range(L)
+                ]
+                det = _numeric_det(rows)
+                got = det_expand({"x": 1}, q, step, lo, hi)
+                assert got == ({"x": det} if det else {}), (lo, hi, q)
+                assert got == _leibniz({"x": 1}, q, step, lo, hi)
