@@ -13,6 +13,8 @@ that cancellation is asserted on every product.
 from __future__ import annotations
 
 import itertools
+import json
+import zlib
 from dataclasses import dataclass
 from math import comb
 
@@ -29,6 +31,7 @@ from .partitions import (
 )
 
 TABLE_CAP = 200
+TABLE_SCHEMA = "fusionkit/table/v2"
 
 
 def _check_basis_element(p, ctx) -> tuple:
@@ -182,7 +185,11 @@ def tensor_multiply(p, q, N: int) -> dict:
 
 @dataclass(frozen=True)
 class FusionTable:
-    """Dense structure constants N[a][b][c] over an ordered basis."""
+    """Sparse structure constants over an ordered basis.
+
+    constants[a * n + b] is the tuple of pairs (c, N_ab^c) with N_ab^c != 0,
+    in increasing c: the layout of the JSON ``constants`` field.
+    """
 
     N: int
     k: int
@@ -193,69 +200,64 @@ class FusionTable:
         return self.basis.index(normalize(p))
 
     def coefficient(self, p, q, r) -> int:
-        return self.constants[self.index(p)][self.index(q)][self.index(r)]
+        row = self.constants[self.index(p) * len(self.basis) + self.index(q)]
+        return dict(row).get(self.index(r), 0)
 
     def to_json_dict(self) -> dict:
-        n = len(self.basis)
-        pairs = []
-        for a in range(n):
-            for b in range(n):
-                pairs.append(
-                    [[c, m] for c, m in enumerate(self.constants[a][b]) if m]
-                )
         return {
-            "schema": "fusionkit/table/v1",
+            "schema": TABLE_SCHEMA,
             "N": self.N,
             "k": self.k,
-            "basis": [list(p) for p in self.basis],
-            "constants": pairs,
+            "basis": self.basis,
+            "constants": self.constants,
+            "crc32": _checksum(self.N, self.k, self.basis, self.constants),
         }
 
     @classmethod
     def from_json_dict(cls, data) -> "FusionTable":
         """Inverse of to_json_dict; a malformed entry raises ValueError."""
-        if data.get("schema") != "fusionkit/table/v1":
+        if data.get("schema") != TABLE_SCHEMA:
             raise ValueError(f"unsupported schema {data.get('schema')!r}")
         base = tuple(tuple(p) for p in data["basis"])
         n = len(base)
-        if len(data["constants"]) != n * n:
+        constants = tuple(tuple(map(tuple, row)) for row in data["constants"])
+        if len(constants) != n * n:
             raise ValueError("constants length does not match basis size")
-        constants = []
-        flat = data["constants"]
-        for a in range(n):
-            row = []
-            for b in range(n):
-                dense = [0] * n
-                for c, m in flat[a * n + b]:
-                    if type(c) is not int or not 0 <= c < n or dense[c]:
-                        raise ValueError(
-                            f"bad or repeated result index {c!r} for pair {a}, {b}"
-                        )
-                    if type(m) is not int or m <= 0:
-                        raise ValueError(f"bad multiplicity {m!r} for pair {a}, {b}")
-                    dense[c] = m
-                row.append(tuple(dense))
-            constants.append(tuple(row))
-        return cls(int(data["N"]), int(data["k"]), base, tuple(constants))
+        for ab, row in enumerate(constants):
+            last, pair = -1, divmod(ab, n)
+            for c, m in row:
+                if type(c) is not int or not last < c < n:
+                    raise ValueError(f"bad or unordered result index {c!r} for pair {pair}")
+                if type(m) is not int or m <= 0:
+                    raise ValueError(f"bad multiplicity {m!r} for pair {pair}")
+                last = c
+        crc = _checksum(data["N"], data["k"], base, constants)
+        if data.get("crc32") != crc:
+            raise ValueError(f"crc32 {data.get('crc32')!r} does not match the table")
+        return cls(int(data["N"]), int(data["k"]), base, constants)
 
 
-def full_table(ctx, cap: int = TABLE_CAP) -> FusionTable:
+def _checksum(N, k, base, constants) -> int:
+    """CRC-32 of the canonical JSON of [N, k, basis, constants]."""
+    text = json.dumps([N, k, base, constants], separators=(",", ":"))
+    return zlib.crc32(text.encode())
+
+
+def full_table(ctx) -> FusionTable:
     """Structure constants of every basis pair; symmetric pairs computed once."""
     N, k = ctx
     base = tuple(basis(ctx))
     n = len(base)
-    if n > cap:
-        raise ValueError(f"basis size {n} exceeds cap {cap}")
+    if n > TABLE_CAP:
+        raise ValueError(f"basis size {n} exceeds cap {TABLE_CAP}")
     index = {p: i for i, p in enumerate(base)}
-    constants = [[None] * n for _ in range(n)]
+    constants = [None] * (n * n)
     for a in range(n):
         for b in range(a, n):
-            dense = [0] * n
-            for r, mult in multiply(base[a], base[b], ctx).items():
-                dense[index[r]] = mult
-            constants[a][b] = tuple(dense)
-            constants[b][a] = tuple(dense)
-    return FusionTable(N, k, base, tuple(tuple(row) for row in constants))
+            prod = multiply(base[a], base[b], ctx)
+            row = tuple(sorted((index[r], m) for r, m in prod.items()))
+            constants[a * n + b] = constants[b * n + a] = row
+    return FusionTable(N, k, base, tuple(constants))
 
 
 @dataclass
@@ -272,65 +274,65 @@ class AxiomReport:
         return [c for c in self.checks if not c[1]]
 
 
+def _first_difference(x: dict, y: dict):
+    """Smallest key at which two sparse vectors differ, or None."""
+    if x == y:
+        return None
+    return min((e for e in x.keys() | y.keys() if x.get(e, 0) != y.get(e, 0)), default=None)
+
+
 def verify_fusion_axioms(table: FusionTable) -> AxiomReport:
-    """Check the defining properties of a fusion algebra on a dense table."""
-    t = table.constants
+    """Check the defining properties of a fusion algebra on a sparse table.
+
+    Each witness is the lexicographically first failing index tuple.
+    """
     n = len(table.basis)
     checks = []
 
     witness = next(
         (
-            (a, b, c, t[a][b][c])
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-            if not isinstance(t[a][b][c], int) or t[a][b][c] < 0
+            (ab // n, ab % n, c, m)
+            for ab, row in enumerate(table.constants)
+            for c, m in row
+            if not isinstance(m, int) or m < 0
         ),
         None,
     )
     checks.append(("non-negative integer constants", witness is None, witness))
 
-    witness = next(
-        (
-            (a, b, c, t[a][b][c], t[b][a][c])
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-            if t[a][b][c] != t[b][a][c]
-        ),
-        None,
-    )
-    checks.append(("commutativity", witness is None, witness))
+    # t[a][b] is the row N_ab^. as a dict holding only its nonzero values
+    t = [
+        [{c: m for c, m in table.constants[a * n + b] if m} for b in range(n)]
+        for a in range(n)
+    ]
 
     witness = None
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for e in range(n):
-                    left = sum(t[a][b][d] * t[d][c][e] for d in range(n))
-                    right = sum(t[b][c][d] * t[a][d][e] for d in range(n))
-                    if left != right:
-                        witness = (a, b, c, e, left, right)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
+    for a, b in itertools.product(range(n), repeat=2):
+        c = _first_difference(t[a][b], t[b][a])
+        if c is not None:
+            witness = (a, b, c, t[a][b].get(c, 0), t[b][a].get(c, 0))
+            break
+    checks.append(("commutativity", witness is None, witness))
+
+    # sum_d N_ab^d N_dc^e against sum_d N_bc^d N_ad^e, as sparse vectors in e
+    witness = None
+    for a, b, c in itertools.product(range(n), repeat=3):
+        left: dict = {}
+        for d, m in t[a][b].items():
+            for e, x in t[d][c].items():
+                left[e] = left.get(e, 0) + m * x
+        right: dict = {}
+        for d, m in t[b][c].items():
+            for e, x in t[a][d].items():
+                right[e] = right.get(e, 0) + m * x
+        e = _first_difference(left, right)
+        if e is not None:
+            witness = (a, b, c, e, left.get(e, 0), right.get(e, 0))
             break
     checks.append(("associativity", witness is None, witness))
 
     omega = next(
-        (
-            a
-            for a in range(n)
-            if all(
-                t[a][b][c] == (1 if b == c else 0)
-                for b in range(n)
-                for c in range(n)
-            )
-        ),
-        None,
+        (a for a in range(n) if all(t[a][b] == {b: 1} for b in range(n))), None
     )
     checks.append(("identity element", omega is not None, None))
 
@@ -343,7 +345,7 @@ def verify_fusion_axioms(table: FusionTable) -> AxiomReport:
     ok = True
     witness = None
     for a in range(n):
-        images = [b for b in range(n) if t[a][b][omega]]
+        images = [b for b in range(n) if omega in t[a][b]]
         if len(images) != 1 or t[a][images[0]][omega] != 1:
             ok, witness = False, (a, images)
             break
@@ -352,19 +354,24 @@ def verify_fusion_axioms(table: FusionTable) -> AxiomReport:
         ok, witness = False, ("sigma", sigma)
     checks.append(("conjugation is a permutation with C^2 = I", ok, witness))
 
-    witness = None
     if ok:
-        witness = next(
+        # N_ab^{sigma c} = N_cb^{sigma a} = N_ac^{sigma b} fails only where one
+        # side is nonzero: visit the triples that put each N_pq^r != 0 there
+        triples = {
+            triple
+            for p, q in itertools.product(range(n), repeat=2)
+            for s in (sigma[r] for r in t[p][q])
+            for triple in ((p, q, s), (s, q, p), (p, s, q))
+        }
+        witness = min(
             (
                 (a, b, c)
-                for a in range(n)
-                for b in range(n)
-                for c in range(n)
-                if not (
-                    t[a][b][sigma[c]] == t[c][b][sigma[a]] == t[a][c][sigma[b]]
-                )
+                for a, b, c in triples
+                if not t[a][b].get(sigma[c], 0)
+                == t[c][b].get(sigma[a], 0)
+                == t[a][c].get(sigma[b], 0)
             ),
-            None,
+            default=None,
         )
         checks.append(("total symmetry of N_{a,b,c}", witness is None, witness))
     else:

@@ -377,7 +377,7 @@ def _strips_removed(lam, m: int):
     yield from rec(0, m, ())
 
 
-def tableau_contents(shape, max_entry: int, box_limit: int = 30) -> dict:
+def tableau_contents(shape, max_entry: int) -> dict:
     """Content multiset of all tableaux of a straight shape, entries 1..max_entry.
 
     Returns {content tuple of length max_entry: number of tableaux}.  The
@@ -395,8 +395,6 @@ def tableau_contents(shape, max_entry: int, box_limit: int = 30) -> dict:
     """
     shape = normalize(shape)
     total = sum(shape)
-    if total > box_limit:
-        raise ValueError(f"shape {shape} exceeds the {box_limit}-box guard")
     bounds = [sum(shape[: i + 1]) for i in range(len(shape))]
     memo: dict = {}
 

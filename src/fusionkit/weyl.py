@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from .partitions import padded, tableau_contents, weight_to_partition
 
-BOX_LIMIT = 30
-
 
 def _sort_desc_signed(seq):
     """(sign, sorted tuple) for a repeat-free sequence, else None."""
@@ -69,7 +67,7 @@ def _check_weight(w, N: int) -> tuple:
     return w
 
 
-def weight_multiplicities(lam, N: int, box_limit: int = BOX_LIMIT) -> dict:
+def weight_multiplicities(lam, N: int) -> dict:
     """Weight-space dimensions of the module with highest weight lam.
 
     Each tableau content of the shape attached to lam, entries 1..N, maps
@@ -79,24 +77,20 @@ def weight_multiplicities(lam, N: int, box_limit: int = BOX_LIMIT) -> dict:
     lam = _check_weight(lam, N)
     shape = weight_to_partition(lam)
     out: dict = {}
-    for content, count in tableau_contents(shape, N, box_limit).items():
+    for content, count in tableau_contents(shape, N).items():
         w = tuple(content[j] - content[j + 1] for j in range(N - 1))
         out[w] = out.get(w, 0) + count
     return out
 
 
-def _alternating_sum(lam, mu, N, wall, box_limit):
-    # Both products are commutative, so walk the contents of the smaller
-    # module; a factor over the box guard is never swapped in.
-    if (
-        module_dimension(mu, N) < module_dimension(lam, N)
-        and sum(weight_to_partition(mu)) <= box_limit
-    ):
+def _alternating_sum(lam, mu, N, wall):
+    # Both products are commutative, so walk the contents of the smaller module.
+    if module_dimension(mu, N) < module_dimension(lam, N):
         lam, mu = mu, lam
     shape = weight_to_partition(lam)
     shift = _shift_vector(mu, N)
     acc: dict = {}
-    for content, count in tableau_contents(shape, N, box_limit).items():
+    for content, count in tableau_contents(shape, N).items():
         seq = tuple(c + s for c, s in zip(content, shift))
         res = (
             _sort_desc_signed(seq)
@@ -120,20 +114,20 @@ def _alternating_sum(lam, mu, N, wall, box_limit):
     return out
 
 
-def racah_speiser_tensor(lam, mu, N: int, box_limit: int = BOX_LIMIT) -> dict:
+def racah_speiser_tensor(lam, mu, N: int) -> dict:
     """Tensor-product decomposition of two dominant weights of A_{N-1}."""
     lam, mu = _check_weight(lam, N), _check_weight(mu, N)
-    return _alternating_sum(lam, mu, N, None, box_limit)
+    return _alternating_sum(lam, mu, N, None)
 
 
-def kac_walton_fusion(lam, mu, ctx, box_limit: int = BOX_LIMIT) -> dict:
+def kac_walton_fusion(lam, mu, ctx) -> dict:
     """Level-k fusion decomposition, by reflecting into the affine region."""
     N, k = ctx
     lam, mu = _check_weight(lam, N), _check_weight(mu, N)
     for w in (lam, mu):
         if sum(w) > k:
             raise ValueError(f"weight {w} has level {sum(w)} > k = {k}")
-    return _alternating_sum(lam, mu, N, N + k, box_limit)
+    return _alternating_sum(lam, mu, N, N + k)
 
 
 def module_dimension(lam, N: int) -> int:

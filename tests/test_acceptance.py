@@ -243,7 +243,7 @@ def test_criterion_06_nonassociativity_and_fix():
 
 
 def test_criterion_07_fusion_axioms():
-    for N, k in THREE_WAY_CONTEXTS:
+    for N, k in THREE_WAY_CONTEXTS + [(3, 6), (4, 4), (5, 3), (6, 3)]:
         report = verify_fusion_axioms(full_table(fusion_context(N, k)))
         assert report.ok, (N, k, report.failures())
     print("ACCEPTANCE 7 PASS: all fusion-algebra axioms hold on every table")

@@ -1,5 +1,6 @@
 import json
 import os
+import zlib
 
 import pytest
 
@@ -221,6 +222,13 @@ class TestWeights:
         assert doc["kind"] == "weight"
         assert sum(t["mult"] for t in doc["terms"]) == 8
 
+    def test_forty_boxes(self, run):
+        code, out, _ = run(
+            "weights", "--N", "3", "--lambda", "{0,20}", "--format", "json"
+        )
+        assert code == 0
+        assert sum(t["mult"] for t in json.loads(out)["terms"]) == 231
+
 
 class TestTableCache:
     def test_round_trip(self, run, tmp_path):
@@ -253,13 +261,14 @@ class TestTableCache:
         cache = str(tmp_path)
         path = os.path.join(cache, "table_N3_k2.json")
         os.makedirs(cache, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump({"schema": "fusionkit/table/v0", "N": 3, "k": 2}, fh)
-        code, out, err = run("table", "--N", "3", "--k", "2", "--cache-dir", cache)
-        assert code == 0
-        assert "warning" in err
-        with open(path) as fh:
-            assert json.load(fh)["schema"] == "fusionkit/table/v1"
+        for schema in ("fusionkit/table/v0", "fusionkit/table/v1"):
+            with open(path, "w") as fh:
+                json.dump({"schema": schema, "N": 3, "k": 2}, fh)
+            code, out, err = run("table", "--N", "3", "--k", "2", "--cache-dir", cache)
+            assert code == 0
+            assert "warning" in err and schema in err
+            with open(path) as fh:
+                assert json.load(fh)["schema"] == "fusionkit/table/v2"
 
     def _edited_cache(self, run, tmp_path, edit):
         cache = str(tmp_path)
@@ -304,16 +313,33 @@ class TestTableCache:
             assert "warning" in err and "multiplicity" in err, bad
             assert json.loads(out) == good
 
+    def test_edited_constant_recomputes_with_warning(self, run, tmp_path):
+        def edit(data):
+            data["constants"][0] = [[1, 5]]  # [] * [] = 5 * [1]
+
+        cache, path, good = self._edited_cache(run, tmp_path, edit)
+        code, out, err = run(
+            "table", "--N", "3", "--k", "2", "--cache-dir", cache, "--format", "json"
+        )
+        assert code == 0
+        assert "warning" in err and "crc32" in err
+        assert json.loads(out)["constants"][0] == [[0, 1]]
+        assert json.loads(out) == good
+
     def test_permuted_basis_recomputes_with_warning(self, run, tmp_path):
         def edit(data):
             data["basis"][1], data["basis"][2] = data["basis"][2], data["basis"][1]
+            # a matching checksum, so that the basis check is what rejects it
+            body = [data["N"], data["k"], data["basis"], data["constants"]]
+            text = json.dumps(body, separators=(",", ":"))
+            data["crc32"] = zlib.crc32(text.encode())
 
         cache, path, good = self._edited_cache(run, tmp_path, edit)
         code, out, err = run(
             "table", "--N", "3", "--k", "2", "--cache-dir", cache, "--verify-axioms"
         )
         assert code == 0
-        assert "warning" in err and "basis" in err
+        assert "warning" in err and "canonical basis" in err
         assert out.count("PASS") == 6
         with open(path) as fh:
             assert json.load(fh) == good
@@ -345,7 +371,7 @@ class TestTableCache:
         )
         assert code == 0
         with open(target) as fh:
-            assert json.load(fh)["schema"] == "fusionkit/table/v1"
+            assert json.load(fh)["schema"] == "fusionkit/table/v2"
 
 
 class TestDuality:

@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 from math import comb
 
@@ -289,8 +291,7 @@ class TestTable:
         omega = t.basis.index(())
         n = len(t.basis)
         for b in range(n):
-            for c in range(n):
-                assert t.constants[omega][b][c] == (1 if b == c else 0)
+            assert t.constants[omega * n + b] == ((b, 1),)
 
     def test_a1_level1(self):
         t = full_table(fusion_context(2, 1))
@@ -310,13 +311,14 @@ class TestTable:
                         ) == gepner_witten_a1(a, b, c, k)
 
     def test_cap(self):
+        assert len(basis(fusion_context(3, 19))) == 210
         with pytest.raises(ValueError):
-            full_table(fusion_context(3, 2), cap=3)
+            full_table(fusion_context(3, 19))
 
     def test_json_round_trip(self):
         t = full_table(fusion_context(3, 2))
-        data = t.to_json_dict()
-        assert data["schema"] == "fusionkit/table/v1"
+        data = json.loads(json.dumps(t.to_json_dict()))
+        assert data["schema"] == "fusionkit/table/v2"
         back = FusionTable.from_json_dict(data)
         assert back == t
 
@@ -326,6 +328,97 @@ class TestTable:
         data["schema"] = "fusionkit/table/v0"
         with pytest.raises(ValueError):
             FusionTable.from_json_dict(data)
+
+
+def _dense(table):
+    """The sparse rows of a FusionTable as a dense list t[a][b][c]."""
+    n = len(table.basis)
+    t = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for ab, row in enumerate(table.constants):
+        for c, m in row:
+            t[ab // n][ab % n][c] = m
+    return t
+
+
+def _sparse(t):
+    """Sparse rows ((c, N_ab^c), ...) of a dense t[a][b][c], row-major in (a, b)."""
+    return tuple(
+        tuple((c, m) for c, m in enumerate(t[a][b]) if m)
+        for a in range(len(t))
+        for b in range(len(t))
+    )
+
+
+def _associator(t, a, b, c, e):
+    """(sum_d N_ab^d N_dc^e, sum_d N_bc^d N_ad^e) on a dense table."""
+    R = range(len(t))
+    return (
+        sum(t[a][b][d] * t[d][c][e] for d in R),
+        sum(t[b][c][d] * t[a][d][e] for d in R),
+    )
+
+
+def _dense_checks(t):
+    """Reference: the six axiom checks visiting every index of a dense table,
+    each witness the first failure in lexicographic order."""
+    R = range(len(t))
+    cells = list(itertools.product(R, repeat=3))
+    neg = next(
+        ((a, b, c, t[a][b][c]) for a, b, c in cells if t[a][b][c] < 0), None
+    )
+    comm = next(
+        (
+            (a, b, c, t[a][b][c], t[b][a][c])
+            for a, b, c in cells
+            if t[a][b][c] != t[b][a][c]
+        ),
+        None,
+    )
+    assoc = next(
+        (
+            (a, b, c, e) + _associator(t, a, b, c, e)
+            for a, b, c in cells
+            for e in R
+            if len(set(_associator(t, a, b, c, e))) == 2
+        ),
+        None,
+    )
+    omega = next(
+        (a for a in R if all(t[a][b][c] == (b == c) for b in R for c in R)), None
+    )
+    checks = [
+        ("non-negative integer constants", neg is None, neg),
+        ("commutativity", comm is None, comm),
+        ("associativity", assoc is None, assoc),
+        ("identity element", omega is not None, None),
+    ]
+    if omega is None:
+        return checks + [
+            ("conjugation is a permutation with C^2 = I", False, "no identity"),
+            ("total symmetry of N_{a,b,c}", False, "no identity"),
+        ]
+    conj = None
+    for a in R:
+        images = [b for b in R if t[a][b][omega]]
+        if len(images) != 1 or t[a][images[0]][omega] != 1:
+            conj = (a, images)
+            break
+    if conj is None:
+        sigma = [next(b for b in R if t[a][b][omega]) for a in R]
+        if sorted(sigma) != list(R) or any(sigma[sigma[a]] != a for a in R):
+            conj = ("sigma", sigma)
+    checks.append(("conjugation is a permutation with C^2 = I", conj is None, conj))
+    if conj is not None:
+        return checks + [("total symmetry of N_{a,b,c}", False, "no conjugation")]
+    sym = next(
+        (
+            (a, b, c)
+            for a, b, c in cells
+            if not t[a][b][sigma[c]] == t[c][b][sigma[a]] == t[a][c][sigma[b]]
+        ),
+        None,
+    )
+    return checks + [("total symmetry of N_{a,b,c}", sym is None, sym)]
 
 
 class TestAxioms:
@@ -339,8 +432,8 @@ class TestAxioms:
         n[1, 1] = (1, 0, 0)
         n[1, 2] = (0, 0, 1)
         n[2, 2] = (1, 1, 0)
-        constants = tuple(
-            tuple(n[min(a, b), max(a, b)] for b in range(3)) for a in range(3)
+        constants = _sparse(
+            [[n[min(a, b), max(a, b)] for b in range(3)] for a in range(3)]
         )
         report = verify_fusion_axioms(FusionTable(0, 0, base, constants))
         assert isinstance(report, AxiomReport)
@@ -348,22 +441,52 @@ class TestAxioms:
 
     def test_broken_table_reports_witness(self):
         base = ((), (1,))
-        constants = (((1, 0), (0, 1)), ((0, 1), (1, 1)))
+        constants = (((0, 1),), ((1, 1),), ((1, 1),), ((0, 1), (1, 1)))
         good = verify_fusion_axioms(FusionTable(0, 0, base, constants))
         assert good.ok
-        bad_constants = (((1, 0), (0, 1)), ((0, 1), (0, 1)))
+        bad_constants = constants[:3] + (((1, 1),),)  # x1 * x1 = x1
         report = verify_fusion_axioms(FusionTable(0, 0, base, bad_constants))
         assert not report.ok
-        assert report.failures()
+        # x1 has no conjugate: x1 * x for no x contains x0
+        assert report.failures()[0] == (
+            "conjugation is a permutation with C^2 = I", False, (1, [])
+        )
 
     def test_conjugation_swaps_fundamentals_at_rank3_level1(self):
         t = full_table(fusion_context(3, 1))
         report = verify_fusion_axioms(t)
         assert report.ok
-        omega = t.basis.index(())
-        i1, i2 = t.basis.index((1,)), t.basis.index((1, 1))
-        assert t.constants[i1][i2][omega] == 1
-        assert t.constants[i1][i1][omega] == 0
+        assert t.coefficient((1,), (1, 1), ()) == 1
+        assert t.coefficient((1,), (1,), ()) == 0
+
+    def test_mutated_tables_match_dense_oracle(self):
+        rng = random.Random(5)
+        verdicts = set()
+        for N, k in ((2, 3), (3, 3), (4, 2), (3, 4)):
+            t0 = _dense(full_table(fusion_context(N, k)))
+            n = len(t0)
+            tables = [t0]
+            for _ in range(20):
+                t = [[list(col) for col in row] for row in t0]
+                for _ in range(rng.randint(1, 3)):
+                    a, b, c = (rng.randrange(n) for _ in range(3))
+                    m = rng.choice([x for x in (0, 1, 2, -1) if x != t[a][b][c]])
+                    t[a][b][c] = m
+                    if rng.random() < 0.5:  # keep the table commutative here
+                        t[b][a][c] = m
+                tables.append(t)
+            for t in tables:
+                table = FusionTable(N, k, tuple(basis((N, k))), _sparse(t))
+                report = verify_fusion_axioms(table)
+                assert report.checks == _dense_checks(t), (N, k)
+                for name, passed, witness in report.checks:
+                    verdicts.add((name, passed))
+                    if name == "associativity" and not passed:
+                        a, b, c, e, left, right = witness
+                        assert (left, right) == _associator(t, a, b, c, e)
+                        assert left != right
+        # every check both passed and failed somewhere in the sample
+        assert len(verdicts) == 12, sorted(verdicts)
 
     def test_all_small_tables_pass(self):
         for N in (2, 3, 4):

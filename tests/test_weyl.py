@@ -39,10 +39,6 @@ class TestWeightMultiplicities:
         assert module_dimension((1, 0, 0), 4) == 4
         assert module_dimension((1, 0, 1), 4) == 15
 
-    def test_box_guard(self):
-        with pytest.raises(ValueError):
-            weight_multiplicities((31,), 2)
-
 
 class TestRacahSpeiser:
     def test_worked_example(self):
@@ -65,7 +61,7 @@ class TestRacahSpeiser:
                     b, a, 3
                 )
 
-    def test_factor_over_box_guard_is_not_walked(self):
+    def test_smaller_module_with_more_boxes_is_walked(self):
         # (31,0) has the smaller module but 31 boxes; (10,10) has 30
         prod = racah_speiser_tensor((10, 10), (31, 0), 3)
         assert sum(
