@@ -2,7 +2,10 @@
 
 The simple currents act on the orbit basis by adding a constant residue;
 their orbits ("SC-orbits") index the quotient algebra obtained by
-identifying every simple current with the identity.  Partition conjugation
+identifying every simple current with the identity.  The quotient constants
+are class sums read off the sparse fusion table, which is first checked to
+be commutative and equivariant under the simple current, so that every
+choice of class representatives gives the same sums.  Partition conjugation
 on representatives with a zero entry implements the isomorphism between the
 (N, k) and (k, N) quotients.
 """
@@ -11,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fusion import full_table
+# Unused: perfbench/layertrace.py rebinds duality.multiply, an AttributeError without it.
 from .fusion import multiply
 from .orbits import simple_current_shift
 from .partitions import (
@@ -18,8 +23,6 @@ from .partitions import (
     orbit_to_partition,
     padded,
     partition_to_orbit,
-    weight_to_orbit,
-    level_k_weights,
 )
 
 
@@ -70,69 +73,75 @@ class QuotientTable:
         raise KeyError(f"orbit {orbit} not in any class")
 
 
-def _class_product(rep_a, rep_b, classes, ctx) -> tuple:
-    """Class-summed fusion coefficients of two fixed orbit representatives."""
-    N, _ = ctx
-    pa, pb = orbit_to_partition(rep_a), orbit_to_partition(rep_b)
-    expansion = multiply(pa, pb, ctx)
-    by_orbit = {partition_to_orbit(r, ctx): m for r, m in expansion.items()}
-    return tuple(
-        sum(by_orbit.get(member, 0) for member in members) for members in classes
+def _not_well_defined(base, a, b, left, left_row, right, right_row):
+    def text(row):
+        return str({base[c]: m for c, m in row})
+
+    return ArithmeticError(
+        f"quotient product not well defined at pair ({base[a]}, {base[b]}): "
+        f"{left} = {text(left_row)} but {right} = {text(right_row)}"
     )
 
 
-def quotient_table(ctx, check_well_defined: bool = True) -> QuotientTable:
+def quotient_table(ctx) -> QuotientTable:
     """Quotient structure constants over SC-orbit classes.
 
-    Constants are read off by fixing representatives and summing target
-    multiplicities over each target class.  Independence of the chosen
-    representatives is asserted, not assumed.
+    Constants are read off the sparse fusion table by fixing representatives
+    and summing target multiplicities over each target class.  The table is
+    first checked to be commutative and equivariant under the simple current
+    J = simple_current_shift(., 1): row(Ja, b) is row(a, b) with each c
+    replaced by Jc.  Together these give (J^s a)(J^t b) = J^(s+t)(ab), so
+    the class sums do not depend on the representatives.
     """
     ctx = fusion_context(*ctx)
-    N, k = ctx
-    orbits = [weight_to_orbit(w, ctx) for w in level_k_weights(N, k)]
-    seen = set()
-    classes = []
-    for o in sorted(orbits):
-        if o in seen:
-            continue
-        members = sc_orbit(o, ctx)
-        seen |= members
-        classes.append(members)
-    classes.sort(key=lambda ms: canonical_sc_representative(ms))
-    classes = tuple(classes)
+    table = full_table(ctx)
+    base, rows = table.basis, table.constants
+    n = len(base)
+    orbits = [partition_to_orbit(p, ctx) for p in base]
+    index = {o: i for i, o in enumerate(orbits)}
+    J = [index[simple_current_shift(o, 1, ctx)] for o in orbits]
+    for a in range(n):
+        for b in range(n):
+            row, pa, pb = rows[a * n + b], base[a], base[b]
+            if row != rows[b * n + a]:
+                raise _not_well_defined(
+                    base, a, b, f"{pa}*{pb}", row, f"{pb}*{pa}", rows[b * n + a]
+                )
+            shifted = tuple(sorted((J[c], m) for c, m in row))
+            if rows[J[a] * n + b] != shifted:
+                raise _not_well_defined(
+                    base, a, b, f"{base[J[a]]}*{pb}", rows[J[a] * n + b],
+                    f"J({pa}*{pb})", shifted,
+                )
+
+    classes = tuple(
+        sorted({sc_orbit(o, ctx) for o in orbits}, key=canonical_sc_representative)
+    )
     reps = tuple(canonical_sc_representative(ms) for ms in classes)
-
+    class_of = {o: C for C, members in enumerate(classes) for o in members}
     constants = []
-    for A, members_a in enumerate(classes):
+    for rep_a in reps:
         row = []
-        for B, members_b in enumerate(classes):
-            value = _class_product(reps[A], reps[B], classes, ctx)
-            if check_well_defined:
-                for other_a in sorted(members_a):
-                    for other_b in sorted(members_b):
-                        alt = _class_product(other_a, other_b, classes, ctx)
-                        if alt != value:
-                            raise ArithmeticError(
-                                f"quotient product not well defined at "
-                                f"classes {A}, {B}: representatives "
-                                f"{other_a}, {other_b} give {alt} != {value}"
-                            )
-            row.append(value)
+        for rep_b in reps:
+            sums = [0] * len(classes)
+            for c, m in rows[index[rep_a] * n + index[rep_b]]:
+                sums[class_of[orbits[c]]] += m
+            row.append(tuple(sums))
         constants.append(tuple(row))
-    return QuotientTable(N, k, classes, reps, tuple(constants))
+    return QuotientTable(*ctx, classes, reps, tuple(constants))
 
 
-def verify_rank_level_duality(N: int, k: int, check_well_defined: bool = True) -> dict:
+def verify_rank_level_duality(N: int, k: int) -> dict:
     """Transport the (N, k) quotient constants along conjugation to (k, N).
 
-    Returns {"N", "k", "classes", "isomorphic", "witness"}; the witness names
-    the first mismatch when the transport fails.
+    When N = k both quotients are the same table, built once.  Returns
+    {"N", "k", "classes", "isomorphic", "witness"}; the witness names the
+    first mismatch when the transport fails.
     """
     ctx = fusion_context(N, k)
     dual_ctx = fusion_context(k, N)
-    t1 = quotient_table(ctx, check_well_defined)
-    t2 = quotient_table(dual_ctx, check_well_defined)
+    t1 = quotient_table(ctx)
+    t2 = t1 if N == k else quotient_table(dual_ctx)
     report = {
         "N": N,
         "k": k,

@@ -19,7 +19,6 @@ from .partitions import (
     padded,
 )
 
-ENUMERATION_LIMIT = 12  # k! paths refuse anything larger
 BRUTEFORCE_LIMIT = 8
 
 
@@ -50,14 +49,6 @@ def rep_from_multiplicities(counts) -> tuple:
     for value in range(len(counts) - 1, -1, -1):
         entries.extend([value] * counts[value])
     return tuple(entries)
-
-
-def orbit_elements(o, N: int) -> set:
-    """All distinct permutations of o; size k!/prod(a_j!)."""
-    o = _check_tuple(o, N)
-    if len(o) > ENUMERATION_LIMIT:
-        raise ValueError(f"k = {len(o)} too large for orbit enumeration")
-    return set(iter_distinct_permutations(o))
 
 
 def _check_pair(a, b, ctx):

@@ -98,28 +98,6 @@ def is_column_strip(outer, inner, m: int) -> bool:
     return all(outer[i] - inner[i] <= 1 for i in range(len(outer)))
 
 
-def is_cylindric_row_strip(outer, inner, m: int, ctx) -> bool:
-    """Row strip satisfying the wrap-around bound outer_1 - inner_N <= k."""
-    N, k = ctx
-    outer, inner = normalize(outer), normalize(inner)
-    if len(outer) > N:
-        raise ValueError(f"outer partition {outer} has more than {N} rows")
-    if not is_row_strip(outer, inner, m):
-        return False
-    first = outer[0] if outer else 0
-    return first - padded(inner, N)[N - 1] <= k
-
-
-def equivalent(p, q, N: int) -> bool:
-    """True iff p and q have equal consecutive differences up to row N.
-
-    Equivalently q_i = p_i + c for a single integer c, with both padded to
-    length N.
-    """
-    p, q = padded(normalize(p), N), padded(normalize(q), N)
-    return all(p[i] - p[i + 1] == q[i] - q[i + 1] for i in range(N - 1))
-
-
 def reduce_full_columns(p, N: int) -> tuple:
     """Strip columns of height N: subtract the N-th part from every part."""
     p = padded(normalize(p), N)
@@ -139,7 +117,7 @@ def weight_to_partition(w) -> tuple:
 
 
 def partition_to_weight(p, N: int) -> tuple:
-    """Consecutive differences of p padded to length N; constant on ~-classes."""
+    """Consecutive differences of p padded to length N; blind to full columns."""
     p = padded(normalize(p), N)
     return tuple(p[j] - p[j + 1] for j in range(N - 1))
 

@@ -1,5 +1,6 @@
 import pytest
 
+from fusionkit import cli, duality
 from fusionkit.duality import (
     canonical_sc_representative,
     quotient_table,
@@ -7,7 +8,7 @@ from fusionkit.duality import (
     sc_orbit,
     verify_rank_level_duality,
 )
-from fusionkit.fusion import basis, pieri_h
+from fusionkit.fusion import FusionTable, basis, full_table, pieri_h
 from fusionkit.orbits import simple_current_shift
 from fusionkit.partitions import (
     fusion_context,
@@ -124,12 +125,47 @@ class TestQuotientTable:
     def test_well_definedness_asserted(self):
         # the constructor itself checks representative independence
         for N, k in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]:
-            quotient_table(fusion_context(N, k), check_well_defined=True)
+            quotient_table(fusion_context(N, k))
+
+    def test_symmetric_edit_is_rejected(self, monkeypatch, capsys):
+        # one cell of (1)*(2,1) and of (2,1)*(1) incremented: the table stays
+        # commutative, so only the simple-current equivariance can catch it
+        ctx = fusion_context(3, 3)
+        real = full_table(ctx)
+        n = len(real.basis)
+        a, b, c = real.index((1,)), real.index((2, 1)), real.index((1, 1))
+        rows = list(real.constants)
+        cell = dict(rows[a * n + b])
+        cell[c] = cell.get(c, 0) + 1
+        rows[a * n + b] = rows[b * n + a] = tuple(sorted(cell.items()))
+        edited = FusionTable(real.N, real.k, real.basis, tuple(rows))
+        monkeypatch.setattr(duality, "full_table", lambda ctx: edited)
+
+        with pytest.raises(ArithmeticError) as exc:
+            quotient_table(ctx)
+        message = str(exc.value)
+        assert message.startswith("quotient product not well defined")
+        assert "(1,)*(2, 1)" in message or "(2, 1)*(1,)" in message
+
+        assert cli.main(["duality", "--N", "3", "--k", "3"]) == 1
+        assert "error: quotient product not well defined" in capsys.readouterr().err
+
+    def test_self_dual_builds_one_table(self, monkeypatch):
+        calls = []
+
+        def counting(ctx):
+            calls.append(tuple(ctx))
+            return full_table(ctx)
+
+        monkeypatch.setattr(duality, "full_table", counting)
+        assert verify_rank_level_duality(4, 4)["isomorphic"]
+        assert calls == [(4, 4)]
 
 
 class TestRankLevelDuality:
     def test_acceptance_contexts(self):
-        for N, k in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]:
+        for N, k in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5),
+                     (3, 4), (2, 6), (2, 7), (3, 5), (4, 4), (3, 6)]:
             report = verify_rank_level_duality(N, k)
             assert report["isomorphic"], report
             assert report["witness"] is None

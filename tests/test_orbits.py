@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from fusionkit.orbits import (
     fixed_product,
     m_coefficient_bruteforce,
-    orbit_elements,
     orbit_multiplicities,
     orbit_partition,
     raw_orbit_product,
@@ -19,6 +18,7 @@ from fusionkit.orbits import (
 )
 from fusionkit.partitions import (
     fusion_context,
+    iter_distinct_permutations,
     level_k_weights,
     weight_to_orbit,
 )
@@ -64,14 +64,18 @@ class TestStandardForm:
 
 
 class TestOrbitElements:
+    # the elements of an orbit are the distinct permutations of its standard
+    # form, which m_coefficient_bruteforce walks
     def test_three_elements(self):
-        assert orbit_elements((1, 1, 0), 3) == {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
+        assert set(iter_distinct_permutations((1, 1, 0))) == {
+            (1, 1, 0), (1, 0, 1), (0, 1, 1)
+        }
 
     def test_constant_tuple_is_singleton(self):
-        assert orbit_elements((2, 2, 2), 3) == {(2, 2, 2)}
+        assert list(iter_distinct_permutations((2, 2, 2))) == [(2, 2, 2)]
 
     def test_six_elements(self):
-        assert len(orbit_elements((2, 1, 0), 3)) == 6
+        assert len(list(iter_distinct_permutations((2, 1, 0)))) == 6
 
     def test_cardinality_formula(self):
         from math import factorial
@@ -81,11 +85,13 @@ class TestOrbitElements:
             expected = factorial(4)
             for c in counts:
                 expected //= factorial(c)
-            assert len(orbit_elements(o, 3)) == expected
+            assert len(list(iter_distinct_permutations(o))) == expected
 
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            orbit_elements((0,) * 13, 2)
+    def test_distinct_and_lexicographic(self):
+        for o in all_orbits(3, 4) + all_orbits(4, 3):
+            perms = list(iter_distinct_permutations(o))
+            assert perms == sorted(set(perms))
+            assert set(perms) == set(itertools.permutations(o))
 
 
 class TestRawProduct:

@@ -14,10 +14,8 @@ from fusionkit.partitions import (
     count_cylindric_tableaux,
     count_skew_tableaux,
     det_expand,
-    equivalent,
     fusion_context,
     is_column_strip,
-    is_cylindric_row_strip,
     is_row_strip,
     iter_skew_tableaux,
     level_k_weights,
@@ -122,25 +120,7 @@ class TestStrips:
                 )
 
 
-class TestCylindricStrip:
-    def test_wraparound_bound(self):
-        assert is_cylindric_row_strip((4, 3, 2), (3, 2, 1), 3, (3, 3))
-        assert not is_cylindric_row_strip((4, 3, 2), (3, 2, 1), 3, (3, 2))
-
-    def test_empty(self):
-        assert is_cylindric_row_strip((2, 1), (2, 1), 0, (3, 2))
-
-    def test_outer_too_tall(self):
-        with pytest.raises(ValueError):
-            is_cylindric_row_strip((1, 1, 1, 1), (), 4, (3, 3))
-
-
 class TestEquivalence:
-    def test_examples(self):
-        assert equivalent((5, 4, 4, 3), (2, 1, 1, 0), 4)
-        assert equivalent((3, 1), (3, 1), 2)
-        assert not equivalent((3, 1), (3, 2), 2)
-
     def test_reduce(self):
         assert reduce_full_columns((5, 4, 4, 3), 4) == (2, 1, 1)
         assert reduce_full_columns((3, 3, 3), 3) == ()
@@ -149,19 +129,8 @@ class TestEquivalence:
     def test_reduce_is_equivalent_and_short(self):
         for p in all_partitions_in_box(4, 4):
             r = reduce_full_columns(p, 4)
-            assert equivalent(p, r, 4)
+            assert partition_to_weight(p, 4) == partition_to_weight(r, 4)
             assert len(r) <= 3
-
-    def test_equivalence_relation(self):
-        parts = all_partitions_in_box(3, 3)
-        for p in parts:
-            assert equivalent(p, p, 3)
-            for q in parts:
-                assert equivalent(p, q, 3) == equivalent(q, p, 3)
-                if equivalent(p, q, 3):
-                    for r in parts:
-                        if equivalent(q, r, 3):
-                            assert equivalent(p, r, 3)
 
 
 class TestWeightMaps:
