@@ -60,7 +60,9 @@ def pieri_h(p, m: int, ctx) -> dict:
     def rec(i, prev, rest, acc):
         if i == N:
             if rest == 0:
-                key = reduce_full_columns(acc, N)
+                # acc is weakly decreasing and non-negative: strip full columns
+                c = acc[-1]
+                key = tuple(x - c for x in acc if x > c)
                 out[key] = out.get(key, 0) + 1
             return
         hi = min(prev, pp[i] + rest)
@@ -102,15 +104,20 @@ def multiply(p, q, ctx) -> dict:
     expanded row by row over the sets of used columns by
     partitions.det_expand.  Entries h_m with m outside 0..k vanish.
     """
-    N, k = ctx
     p, q = _check_basis_element(p, ctx), _check_basis_element(q, ctx)
+    return _product(p, q, ctx, lambda r, m: pieri_h(r, m, ctx))
+
+
+def _product(p, q, ctx, step) -> dict:
+    """multiply on canonical basis elements; step(r, m) returns pieri_h(r, m, ctx),
+    which det_expand only reads, so a memoised step may hand out one dict."""
     if not q:
         return {p: 1}
     if not p:
         return {q: 1}
     if len(p) < len(q):
         p, q = q, p
-    acc = det_expand({p: 1}, q, lambda r, m: pieri_h(r, m, ctx), 0, k)
+    acc = det_expand({p: 1}, q, step, 0, ctx[1])
     bad = {r: mult for r, mult in acc.items() if mult < 0}
     if bad:
         raise ArithmeticError(
@@ -244,17 +251,30 @@ def _checksum(N, k, base, constants) -> int:
 
 
 def full_table(ctx) -> FusionTable:
-    """Structure constants of every basis pair; symmetric pairs computed once."""
+    """Structure constants of every basis pair; symmetric pairs computed once.
+
+    Each Pieri step h_m acting on a label is computed once per table: the
+    steps are memoised in a dict that lives only for this call, so a table
+    makes at most n * (k + 1) pieri_h calls.
+    """
     N, k = ctx
     base = tuple(basis(ctx))
     n = len(base)
     if n > TABLE_CAP:
         raise ValueError(f"basis size {n} exceeds cap {TABLE_CAP}")
+    steps: dict = {}
+
+    def step(r, m):
+        out = steps.get((r, m))
+        if out is None:
+            out = steps[r, m] = pieri_h(r, m, ctx)
+        return out
+
     index = {p: i for i, p in enumerate(base)}
     constants = [None] * (n * n)
     for a in range(n):
         for b in range(a, n):
-            prod = multiply(base[a], base[b], ctx)
+            prod = _product(base[a], base[b], ctx, step)
             row = tuple(sorted((index[r], m) for r, m in prod.items()))
             constants[a * n + b] = constants[b * n + a] = row
     return FusionTable(N, k, base, tuple(constants))
@@ -400,16 +420,21 @@ def gepner_witten_a1(a: int, b: int, c: int, k: int) -> int:
 
 
 def fw_a2_relation_check(ctx) -> list:
-    """Violations of raw = C(fusion + 1, 2) over all A_2 level-k triples."""
+    """Violations of raw = C(fusion + 1, 2) over all A_2 level-k triples.
+
+    The fusion products are read off full_table(ctx), so k is bounded by
+    TABLE_CAP (k <= 18).
+    """
     N, k = ctx
     if N != 3:
         raise ValueError(f"this relation is specific to N = 3, got N = {N}")
-    base = basis(ctx)
+    table = full_table(ctx)
+    base, n = table.basis, len(table.basis)
     orbits = {p: partition_to_orbit(p, ctx) for p in base}
     violations = []
-    for p in base:
-        for q in base:
-            fus = multiply(p, q, ctx)
+    for a, p in enumerate(base):
+        for b, q in enumerate(base):
+            fus = {base[c]: m for c, m in table.constants[a * n + b]}
             raw = raw_orbit_product(orbits[p], orbits[q], ctx)
             for r in base:
                 predicted = comb(fus.get(r, 0) + 1, 2)

@@ -251,7 +251,8 @@ def test_criterion_07_fusion_axioms():
 
 def test_criterion_08_rank_level_duality():
     for N, k in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5),
-                 (3, 4), (2, 6), (2, 7), (3, 5), (4, 4), (3, 6)]:
+                 (3, 4), (2, 6), (2, 7), (3, 5), (4, 4), (3, 6), (4, 5),
+                 (5, 5), (3, 8)]:
         report = verify_rank_level_duality(N, k)
         assert report["isomorphic"], report
     assert len(basis(fusion_context(2, 3))) == 4

@@ -165,7 +165,8 @@ class TestQuotientTable:
 class TestRankLevelDuality:
     def test_acceptance_contexts(self):
         for N, k in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5),
-                     (3, 4), (2, 6), (2, 7), (3, 5), (4, 4), (3, 6)]:
+                     (3, 4), (2, 6), (2, 7), (3, 5), (4, 4), (3, 6), (4, 5),
+                     (5, 5), (3, 8)]:
             report = verify_rank_level_duality(N, k)
             assert report["isomorphic"], report
             assert report["witness"] is None

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from fusionkit import fusion
 from fusionkit.fusion import (
     AxiomReport,
     FusionTable,
@@ -32,6 +33,28 @@ from fusionkit.partitions import (
 
 CTX33 = fusion_context(3, 3)
 CTX43 = fusion_context(4, 3)
+
+
+def _pieri_h_oracle(p, m, ctx):
+    """pieri_h's row-strip walk, each result reduced by reduce_full_columns."""
+    N, k = ctx
+    pp = padded(p, N)
+    out = {}
+
+    def rec(i, prev, rest, acc):
+        if i == N:
+            if rest == 0:
+                key = reduce_full_columns(acc, N)
+                out[key] = out.get(key, 0) + 1
+            return
+        hi = min(prev, pp[i] + rest)
+        if i > 0:
+            hi = min(hi, pp[i - 1])
+        for x in range(pp[i], hi + 1):
+            rec(i + 1, x, rest - (x - pp[i]), acc + (x,))
+
+    rec(0, k, m, ())
+    return out
 
 
 class TestBasis:
@@ -94,6 +117,13 @@ class TestPieriH:
                         key = reduce_full_columns(nu, N)
                         expected[key] = expected.get(key, 0) + 1
                 assert pieri_h(p, m, CTX43) == expected
+
+    def test_leaf_key_matches_reduce_full_columns(self):
+        for N, k in ((4, 3), (5, 2), (3, 5), (6, 2)):
+            ctx = fusion_context(N, k)
+            for p in basis(ctx):
+                for m in range(k + 1):
+                    assert pieri_h(p, m, ctx) == _pieri_h_oracle(p, m, ctx), (N, k, p, m)
 
     def test_rejects_m_above_k(self):
         with pytest.raises(ValueError):
@@ -309,6 +339,34 @@ class TestTable:
                         assert t.coefficient(
                             label[a], label[b], label[c]
                         ) == gepner_witten_a1(a, b, c, k)
+
+    def test_pieri_steps_computed_once_per_table(self, monkeypatch):
+        calls = []
+        real = fusion.pieri_h
+
+        def counting(p, m, ctx):
+            calls.append((p, m))
+            return real(p, m, ctx)
+
+        monkeypatch.setattr(fusion, "pieri_h", counting)
+        N, k = CTX43
+        n = len(basis(CTX43))
+        first = full_table(CTX43)
+        assert len(calls) == len(set(calls)) <= n * (k + 1)
+        once = len(calls)
+        # the memo does not outlive the call: a second table redoes the steps
+        assert full_table(CTX43) == first
+        assert len(calls) == 2 * once
+
+    def test_rows_match_multiply(self):
+        for N, k in ((4, 3), (3, 5), (6, 2)):
+            ctx = fusion_context(N, k)
+            t = full_table(ctx)
+            n = len(t.basis)
+            for a, p in enumerate(t.basis):
+                for b, q in enumerate(t.basis):
+                    row = {t.basis[c]: m for c, m in t.constants[a * n + b]}
+                    assert row == multiply(p, q, ctx), (N, k, p, q)
 
     def test_cap(self):
         assert len(basis(fusion_context(3, 19))) == 210
