@@ -59,16 +59,17 @@ def pieri_h(p, m: int, ctx) -> dict:
 
     def rec(i, prev, rest, acc):
         if i == N:
-            if rest == 0:
-                # acc is weakly decreasing and non-negative: strip full columns
-                c = acc[-1]
-                key = tuple(x - c for x in acc if x > c)
-                out[key] = out.get(key, 0) + 1
+            # rest is 0 and acc weakly decreasing, non-negative: strip full columns
+            c = acc[-1]
+            key = tuple(x - c for x in acc if x > c)
+            out[key] = out.get(key, 0) + 1
             return
         hi = min(prev, pp[i] + rest)
         if i > 0:
             hi = min(hi, pp[i - 1])  # at most one new box per column
-        for x in range(pp[i], hi + 1):
+        # only x = pp[N-1] + rest can leave rest = 0 after the last row
+        lo = pp[i] + rest if i == N - 1 else pp[i]
+        for x in range(lo, hi + 1):
             rec(i + 1, x, rest - (x - pp[i]), acc + (x,))
 
     rec(0, k, m, ())

@@ -208,6 +208,41 @@ def iter_distinct_permutations(t) -> Iterator[tuple]:
         a[i + 1 :] = reversed(a[i + 1 :])
 
 
+def repeat_free_permutations(t, shift) -> list:
+    """The distinct permutations c of t with c + shift repeat-free.
+
+    c + shift is the entrywise sum; shift has the length of t.  The list is
+    in lexicographic order, without repeats.  Positions are placed left to
+    right, each trying the distinct values in increasing order, and a value
+    whose shifted entry is already used at an earlier position is skipped,
+    so no permutation with a repeat is built.
+    """
+    values = sorted(set(t))
+    left = [t.count(v) for v in values]
+    n = len(t)
+    used: set = set()
+    c: list = []
+    out: list = []
+
+    def place(i):
+        if i == n:
+            out.append(tuple(c))
+            return
+        s = shift[i]
+        for j, v in enumerate(values):
+            if left[j] and v + s not in used:
+                left[j] -= 1
+                used.add(v + s)
+                c.append(v)
+                place(i + 1)
+                c.pop()
+                used.remove(v + s)
+                left[j] += 1
+
+    place(0)
+    return out
+
+
 # -- determinant expansion ---------------------------------------------------
 
 
@@ -355,21 +390,16 @@ def _strips_removed(lam, m: int):
     yield from rec(0, m, ())
 
 
-def tableau_contents(shape, max_entry: int) -> dict:
-    """Content multiset of all tableaux of a straight shape, entries 1..max_entry.
+def dominant_kostka(shape, max_entry: int) -> dict:
+    """Kostka numbers K_{shape,nu} > 0 for the dominant contents nu.
 
-    Returns {content tuple of length max_entry: number of tableaux}.  The
-    total count is the dimension of the irreducible module labelled by the
-    shape.
-
-    No tableau is filled.  The count for a content is the Kostka number
-    K_{shape,nu} of its decreasing rearrangement nu, since weight
-    multiplicities are invariant under permuting the entries.  Kostka
-    numbers are computed only for these dominant contents, by branching:
-    the boxes holding the largest entry n form a horizontal strip of nu_n
-    boxes, so K_{lam,nu} sums K_{mu,(nu_1..nu_{n-1})} over the partitions mu
-    with lam/mu such a strip.  Each nu is then expanded over its distinct
-    permutations.
+    Returns {nu padded to length max_entry: K_{shape,nu}} over the
+    partitions nu of |shape| with at most max_entry parts.  Only the nu
+    below shape in dominance order are walked (K vanishes elsewhere), and
+    each count comes from the branching rule: the boxes holding the largest
+    entry n form a horizontal strip of nu_n boxes, so K_{lam,nu} sums
+    K_{mu,(nu_1..nu_{n-1})} over the partitions mu with lam/mu such a strip.
+    The branching memo lives only for the call.
     """
     shape = normalize(shape)
     total = sum(shape)
@@ -404,6 +434,26 @@ def tableau_contents(shape, max_entry: int) -> dict:
     for nu in dominated((), total, total):
         count = kostka(shape, nu)
         if count:
-            for content in iter_distinct_permutations(padded(nu, max_entry)):
-                counts[content] = count
+            counts[padded(nu, max_entry)] = count
+    return counts
+
+
+def tableau_contents(shape, max_entry: int) -> dict:
+    """Content multiset of all tableaux of a straight shape, entries 1..max_entry.
+
+    Returns {content tuple of length max_entry: number of tableaux}.  The
+    total count is the dimension of the irreducible module labelled by the
+    shape.
+
+    No tableau is filled.  The count for a content is the Kostka number
+    K_{shape,nu} of its decreasing rearrangement nu, since weight
+    multiplicities are invariant under permuting the entries: each
+    dominant_kostka entry is expanded over its distinct permutations.  The
+    Kac-Walton and Racah-Speiser walks in ``weyl`` do not expand every
+    permutation; they take dominant_kostka with repeat_free_permutations.
+    """
+    counts: dict = {}
+    for nu, count in dominant_kostka(shape, max_entry).items():
+        for content in iter_distinct_permutations(nu):
+            counts[content] = count
     return counts

@@ -1,15 +1,20 @@
 """Tableau forms of the Racah-Speiser and Kac-Walton algorithms.
 
 Both algorithms shift the tableau contents of one factor by the other
-factor's partition plus the staircase rho = (N-1, ..., 1, 0) and push the
-resulting length-N sequences back into a fundamental region, accumulating
-an alternating sum.  The contents and their counts are weight
-multiplicities: dominant-weight Kostka numbers, each expanded over its S_N
-orbit (``partitions.tableau_contents``); no tableau is filled.  Both
-products are commutative, so the sum runs over the factor whose module has
-the smaller Weyl dimension.  For tensor products the region is the strictly
-decreasing sequences (finite Weyl group, i.e. sorting); at level k an extra
-affine reflection bounds the spread of a sorted sequence s by N + k:
+factor's partition mu plus the staircase rho = (N-1, ..., 1, 0), the shift
+mu + rho, and push the resulting length-N sequences back into a fundamental
+region, accumulating an alternating sum.  The contents and their counts are
+weight multiplicities: the count of a content is the Kostka number
+K_{shape,nu} of its decreasing rearrangement nu
+(``partitions.dominant_kostka``); no tableau is filled.  A content c with a
+repeated entry in c + shift lies on a wall and adds nothing, so each nu is
+expanded only over the permutations that keep c + shift repeat-free
+(``partitions.repeat_free_permutations``), not over its whole S_N orbit.
+Both products are commutative, so the sum runs over the factor whose module
+has the smaller Weyl dimension.  For tensor products the region is the
+strictly decreasing sequences (finite Weyl group, i.e. sorting); at level k
+an extra affine reflection bounds the spread of a sorted sequence s by
+N + k:
 
     r0: s |-> (s_N + (N+k), s_2, ..., s_{N-1}, s_1 - (N+k))
 
@@ -20,7 +25,13 @@ the sum of squares, so the push-down terminates.
 
 from __future__ import annotations
 
-from .partitions import padded, tableau_contents, weight_to_partition
+from .partitions import (
+    dominant_kostka,
+    padded,
+    repeat_free_permutations,
+    tableau_contents,
+    weight_to_partition,
+)
 
 
 def _sort_desc_signed(seq):
@@ -90,17 +101,18 @@ def _alternating_sum(lam, mu, N, wall):
     shape = weight_to_partition(lam)
     shift = _shift_vector(mu, N)
     acc: dict = {}
-    for content, count in tableau_contents(shape, N).items():
-        seq = tuple(c + s for c, s in zip(content, shift))
-        res = (
-            _sort_desc_signed(seq)
-            if wall is None
-            else _reflect_to_fundamental(seq, wall)
-        )
-        if res is None:
-            continue
-        sign, s = res
-        acc[s] = acc.get(s, 0) + sign * count
+    for nu, count in dominant_kostka(shape, N).items():
+        for content in repeat_free_permutations(nu, shift):
+            seq = tuple(c + s for c, s in zip(content, shift))
+            res = (
+                _sort_desc_signed(seq)
+                if wall is None
+                else _reflect_to_fundamental(seq, wall)
+            )
+            if res is None:
+                continue
+            sign, s = res
+            acc[s] = acc.get(s, 0) + sign * count
     out: dict = {}
     for s, mult in acc.items():
         if mult == 0:

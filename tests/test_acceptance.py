@@ -46,6 +46,7 @@ from fusionkit.weyl import (
 
 THREE_WAY_CONTEXTS = [
     (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (6, 2), (7, 2),
+    (8, 2),
 ]
 
 

@@ -36,7 +36,11 @@ CTX43 = fusion_context(4, 3)
 
 
 def _pieri_h_oracle(p, m, ctx):
-    """pieri_h's row-strip walk, each result reduced by reduce_full_columns."""
+    """pieri_h's row-strip walk, each result reduced by reduce_full_columns.
+
+    Unlike pieri_h, it walks every value of the last row and drops the
+    leaves with boxes left over.
+    """
     N, k = ctx
     pp = padded(p, N)
     out = {}
@@ -119,7 +123,7 @@ class TestPieriH:
                 assert pieri_h(p, m, CTX43) == expected
 
     def test_leaf_key_matches_reduce_full_columns(self):
-        for N, k in ((4, 3), (5, 2), (3, 5), (6, 2)):
+        for N, k in ((4, 3), (5, 2), (3, 5), (6, 2), (2, 16), (3, 12)):
             ctx = fusion_context(N, k)
             for p in basis(ctx):
                 for m in range(k + 1):

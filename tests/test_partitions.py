@@ -14,9 +14,11 @@ from fusionkit.partitions import (
     count_cylindric_tableaux,
     count_skew_tableaux,
     det_expand,
+    dominant_kostka,
     fusion_context,
     is_column_strip,
     is_row_strip,
+    iter_distinct_permutations,
     iter_skew_tableaux,
     level_k_weights,
     normalize,
@@ -26,6 +28,7 @@ from fusionkit.partitions import (
     partition_to_weight,
     partitions_in_box,
     reduce_full_columns,
+    repeat_free_permutations,
     tableau_contents,
     weight_to_orbit,
     weight_to_partition,
@@ -311,6 +314,51 @@ class TestTableauContents:
                 assert sum(contents.values()) == module_dimension(
                     partition_to_weight(shape, N), N
                 )
+
+
+    def test_dominant_kostka_expanded_over_permutations(self):
+        for N in (2, 3, 4, 5):
+            for shape in partitions_in_box(N, 3):
+                kostka = dominant_kostka(shape, N)
+                assert all(
+                    len(nu) == N and list(nu) == sorted(nu, reverse=True) and count > 0
+                    for nu, count in kostka.items()
+                )
+                expanded = {
+                    content: count
+                    for nu, count in kostka.items()
+                    for content in iter_distinct_permutations(nu)
+                }
+                assert expanded == tableau_contents(shape, N), (N, shape)
+
+
+class TestRepeatFreePermutations:
+    def test_matches_filtered_permutations(self):
+        # every content nu and every shift mu + rho from the N x 3 box
+        for N in (2, 3, 4, 5, 6):
+            box = [padded(p, N) for p in partitions_in_box(N, 3)]
+            shifts = [tuple(mu[j] + N - 1 - j for j in range(N)) for mu in box]
+            for nu in box:
+                perms = list(iter_distinct_permutations(nu))
+                for shift in shifts:
+                    got = repeat_free_permutations(nu, shift)
+                    expected = [
+                        c
+                        for c in perms
+                        if len({x + s for x, s in zip(c, shift)}) == N
+                    ]
+                    assert got == expected, (nu, shift)
+
+    def test_lexicographic_without_repeats(self):
+        # 4 of the 12 distinct permutations: (0,1,1,2) + shift = (3,3,2,2)
+        got = repeat_free_permutations((2, 1, 1, 0), (3, 2, 1, 0))
+        assert got == sorted(set(got))
+        assert got == [(0, 2, 1, 1), (1, 0, 2, 1), (1, 1, 0, 2), (2, 1, 1, 0)]
+
+    def test_repeat_forced_everywhere(self):
+        # equal entries under a constant shift always collide
+        assert repeat_free_permutations((1, 1, 0), (0, 0, 0)) == []
+        assert repeat_free_permutations((0, 0), (1, 0)) == [(0, 0)]
 
 
 def _leibniz(start, q, step, lo, hi):

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
+from fusionkit import weyl
 from fusionkit.fusion import basis, multiply
 from fusionkit.partitions import (
     fusion_context,
     partition_to_weight,
     partitions_in_box,
+    tableau_contents,
     weight_to_partition,
 )
 from fusionkit.weyl import (
@@ -13,6 +17,53 @@ from fusionkit.weyl import (
     racah_speiser_tensor,
     weight_multiplicities,
 )
+
+
+def _walk_every_content(lam, mu, N, wall):
+    """The alternating sum over every tableau content, repeats included."""
+    if module_dimension(mu, N) < module_dimension(lam, N):
+        lam, mu = mu, lam
+    shift = weyl._shift_vector(mu, N)
+    acc = {}
+    for content, count in tableau_contents(weight_to_partition(lam), N).items():
+        seq = tuple(c + s for c, s in zip(content, shift))
+        res = (
+            weyl._sort_desc_signed(seq)
+            if wall is None
+            else weyl._reflect_to_fundamental(seq, wall)
+        )
+        if res is not None:
+            sign, s = res
+            acc[s] = acc.get(s, 0) + sign * count
+    return {
+        tuple(s[j] - s[j + 1] - 1 for j in range(N - 1)): mult
+        for s, mult in acc.items()
+        if mult
+    }
+
+
+class TestAlternatingSum:
+    @pytest.mark.parametrize(
+        "N, k, pairs", [(10, 2, 25), (12, 2, 8), (3, 12, 40), (4, 7, 40)]
+    )
+    def test_kac_walton_matches_walk_over_every_content(self, N, k, pairs):
+        b = basis(fusion_context(N, k))
+        rng = random.Random(N * 100 + k)
+        for _ in range(pairs):
+            lam = partition_to_weight(rng.choice(b), N)
+            mu = partition_to_weight(rng.choice(b), N)
+            got = weyl._alternating_sum(lam, mu, N, N + k)
+            assert got == _walk_every_content(lam, mu, N, N + k), (lam, mu)
+
+    def test_racah_speiser_matches_walk_over_every_content(self):
+        for N in (2, 3, 4, 5, 6):
+            shapes = list(partitions_in_box(N - 1, 3))
+            rng = random.Random(N)
+            for _ in range(30):
+                lam = partition_to_weight(rng.choice(shapes), N)
+                mu = partition_to_weight(rng.choice(shapes), N)
+                got = weyl._alternating_sum(lam, mu, N, None)
+                assert got == _walk_every_content(lam, mu, N, None), (lam, mu)
 
 
 class TestWeightMultiplicities:
