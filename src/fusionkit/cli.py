@@ -29,14 +29,10 @@ from .partitions import (
 )
 
 
-class CliError(Exception):
-    """Usage or parse failure; maps to exit status 2."""
-
-
 def _parse_int_list(text: str, open_ch: str, close_ch: str, what: str) -> tuple:
     text = text.strip()
     if not (text.startswith(open_ch) and text.endswith(close_ch)):
-        raise CliError(
+        raise ValueError(
             f"expected {what} like {open_ch}3,2,1{close_ch}, got {text!r}"
         )
     body = text[1:-1].strip()
@@ -48,22 +44,18 @@ def _parse_int_list(text: str, open_ch: str, close_ch: str, what: str) -> tuple:
         try:
             out.append(int(token))
         except ValueError:
-            raise CliError(f"bad integer {token!r} in {what} {text!r}") from None
+            raise ValueError(f"bad integer {token!r} in {what} {text!r}") from None
     return tuple(out)
 
 
 def parse_partition(text: str) -> tuple:
-    parts = _parse_int_list(text, "[", "]", "a partition")
-    try:
-        return normalize(parts)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return normalize(_parse_int_list(text, "[", "]", "a partition"))
 
 
 def parse_weight(text: str) -> tuple:
     coeffs = _parse_int_list(text, "{", "}", "a weight")
     if any(x < 0 for x in coeffs):
-        raise CliError(f"weight coefficients must be >= 0: {text!r}")
+        raise ValueError(f"weight coefficients must be >= 0: {text!r}")
     return coeffs
 
 
@@ -74,7 +66,7 @@ def parse_orbit(text: str) -> tuple:
 def parse_content(text: str) -> tuple:
     seq = _parse_int_list(text, "[", "]", "a content sequence")
     if any(x < 0 for x in seq):
-        raise CliError(f"content entries must be >= 0: {text!r}")
+        raise ValueError(f"content entries must be >= 0: {text!r}")
     return seq
 
 
@@ -85,21 +77,21 @@ def _operand_to_partition(text: str, ctx) -> tuple:
     if text.startswith("["):
         p = parse_partition(text)
         if len(p) > N:
-            raise CliError(f"partition {text!r} has more than {N} rows")
+            raise ValueError(f"partition {text!r} has more than {N} rows")
         p = reduce_full_columns(p, N)
     elif text.startswith("{"):
         w = parse_weight(text)
         if len(w) != N - 1:
-            raise CliError(
+            raise ValueError(
                 f"weight {text!r} needs {N - 1} coefficients for N = {N}"
             )
         p = weight_to_partition(w)
     else:
-        raise CliError(
+        raise ValueError(
             f"operand {text!r} is neither a partition [..] nor a weight {{..}}"
         )
     if p and p[0] > k:
-        raise CliError(f"operand {text!r} exceeds level {k}")
+        raise ValueError(f"operand {text!r} exceeds level {k}")
     return p
 
 
@@ -155,7 +147,7 @@ def _emit(args, expansion, kind: str, extra: dict | None = None) -> None:
 
 
 def _cmd_fuse(args) -> int:
-    ctx = _ctx(args)
+    ctx = fusion_context(args.N, args.k)
     N, k = ctx
     lhs = _operand_to_partition(args.lhs, ctx)
     rhs = _operand_to_partition(args.rhs, ctx)
@@ -168,12 +160,10 @@ def _cmd_fuse(args) -> int:
                 partition_to_orbit(lhs, ctx), partition_to_orbit(rhs, ctx), ctx
             )
             return {orbit_to_partition(o): m for o, m in prod.items()}
-        if name == "kac-walton":
-            prod = weyl.kac_walton_fusion(
-                partition_to_weight(lhs, N), partition_to_weight(rhs, N), ctx
-            )
-            return {weight_to_partition(w): m for w, m in prod.items()}
-        raise CliError(f"unknown method {name!r}")
+        prod = weyl.kac_walton_fusion(
+            partition_to_weight(lhs, N), partition_to_weight(rhs, N), ctx
+        )
+        return {weight_to_partition(w): m for w, m in prod.items()}
 
     if args.method != "all":
         _emit(args, by_method(args.method), "partition")
@@ -199,8 +189,6 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_tensor(args) -> int:
     N = args.N
-    if N < 2:
-        raise CliError(f"--N must be >= 2, got {N}")
     big = fusion_context(N, 10**9)  # level bound never binds for tensor operands
     lhs = _operand_to_partition(args.lhs, big)
     rhs = _operand_to_partition(args.rhs, big)
@@ -216,14 +204,9 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_orbit_product(args) -> int:
-    ctx = _ctx(args)
-    N, k = ctx
+    ctx = fusion_context(args.N, args.k)
+    N = ctx.N
     a, b = parse_orbit(args.a), parse_orbit(args.b)
-    for o in (a, b):
-        if len(o) != k:
-            raise CliError(f"orbit {fmt_orbit(o)} must have k = {k} entries")
-        if any(not 0 <= x < N for x in o):
-            raise CliError(f"orbit {fmt_orbit(o)} entries must be residues mod {N}")
     a, b = orbits.standard_form(a, N), orbits.standard_form(b, N)
     product = orbits.fixed_product if args.fixed else orbits.raw_orbit_product
     _emit(args, product(a, b, ctx), "orbit")
@@ -231,25 +214,21 @@ def _cmd_orbit_product(args) -> int:
 
 
 def _cmd_kostka(args) -> int:
-    ctx = _ctx(args)
+    ctx = fusion_context(args.N, args.k)
     outer = parse_partition(args.outer)
     inner = parse_partition(args.inner)
     content = parse_content(args.content)
-    try:
-        value = count_cylindric_tableaux(outer, inner, content, ctx)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    print(value)
+    print(count_cylindric_tableaux(outer, inner, content, ctx))
     return 0
 
 
 def _cmd_weights(args) -> int:
     N = args.N
     if N < 2:
-        raise CliError(f"--N must be >= 2, got {N}")
+        raise ValueError(f"--N must be >= 2, got {N}")
     lam = parse_weight(args.lam)
     if len(lam) != N - 1:
-        raise CliError(f"weight needs {N - 1} coefficients for N = {N}")
+        raise ValueError(f"weight needs {N - 1} coefficients for N = {N}")
     mults = weyl.weight_multiplicities(lam, N)
     _emit(args, mults, "weight")
     return 0
@@ -287,29 +266,34 @@ def cache_lookup(path: str, N: int, k: int):
         if list(table.basis) != fusion.basis((N, k)):
             raise ValueError("cached basis differs from the canonical basis")
         return table
-    except (ValueError, KeyError, IndexError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
         print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
         return None
 
 
 def cache_store(path: str, table) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    payload = json.dumps(table.to_json_dict())
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path), prefix=".table_", suffix=".tmp"
-    )
+    """Atomic write: temp file in the target directory, then rename.
+
+    A failure warns and leaves the cache as it was; the table is still used.
+    """
+    tmp = None
     try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(path), prefix=".table_", suffix=".tmp"
+        )
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.write(json.dumps(table.to_json_dict()))
         os.replace(tmp, path)
+    except OSError as exc:
+        print(f"warning: cannot store cache {path}: {exc}", file=sys.stderr)
     finally:
-        if os.path.exists(tmp):
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
 
 
 def _cmd_table(args) -> int:
-    ctx = _ctx(args)
+    ctx = fusion_context(args.N, args.k)
     N, k = ctx
     path = cache_path(_cache_dir(args), N, k)
     table = cache_lookup(path, N, k)
@@ -338,10 +322,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_duality(args) -> int:
     N, k = args.N, args.k
-    try:
-        report = duality_mod.verify_rank_level_duality(N, k)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    report = duality_mod.verify_rank_level_duality(N, k)
     doc = {
         "schema": "fusionkit/duality/v1",
         "N": report["N"],
@@ -360,13 +341,6 @@ def _cmd_duality(args) -> int:
         if report["witness"]:
             print(f"witness: {report['witness']}")
     return 0 if report["isomorphic"] else 1
-
-
-def _ctx(args):
-    try:
-        return fusion_context(args.N, args.k)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,9 +426,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

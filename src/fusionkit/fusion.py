@@ -112,10 +112,6 @@ def multiply(p, q, ctx) -> dict:
 def _product(p, q, ctx, step) -> dict:
     """multiply on canonical basis elements; step(r, m) returns pieri_h(r, m, ctx),
     which det_expand only reads, so a memoised step may hand out one dict."""
-    if not q:
-        return {p: 1}
-    if not p:
-        return {q: 1}
     if len(p) < len(q):
         p, q = q, p
     acc = det_expand({p: 1}, q, step, 0, ctx[1])
@@ -159,17 +155,6 @@ def multiply_by_h_sequence(p, eps, ctx) -> dict:
 
     rec(0, pp[0] + total, total, ())
     return out
-
-
-def simple_current_power(p, t: int, ctx) -> tuple:
-    """Apply the simple current h_k t times; each step is a single term."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    N, k = ctx
-    p = _check_basis_element(p, ctx)
-    for _ in range(t):
-        (p,) = pieri_h(p, k, ctx).keys()
-    return p
 
 
 # -- classical (level-free) products, for tensor decompositions --------------
@@ -224,6 +209,10 @@ class FusionTable:
     @classmethod
     def from_json_dict(cls, data) -> "FusionTable":
         """Inverse of to_json_dict; a malformed entry raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"table document is a {type(data).__name__}, not an object"
+            )
         if data.get("schema") != TABLE_SCHEMA:
             raise ValueError(f"unsupported schema {data.get('schema')!r}")
         base = tuple(tuple(p) for p in data["basis"])

@@ -4,18 +4,19 @@ An orbit is identified with its standard form, the weakly decreasing
 k-tuple of residues mod N.  The raw product of two orbits counts, for each
 candidate result, the diagonal orbits of solution triples x + y = z; it is
 commutative but not associative in general.  The fixed product repairs
-associativity by routing every factor through determinant expansion into
-multiplications by orbits of the staircase family (t+1)^m t^(k-m), for
-which the raw product provably has 0/1 coefficients.
+associativity on one path: both factors are normalised by the simple
+current, a . b = (a + t) . (b - t), and the factor with the fewer rows is
+expanded as a determinant of multiplications by the orbits (1^m, 0^(k-m)),
+for which the raw product provably has 0/1 coefficients.  A staircase
+factor (t+1)^m t^(k-m) is the one-row case of that determinant.
 """
 
 from __future__ import annotations
 
 from .partitions import (
-    conjugate,
     det_expand,
     iter_distinct_permutations,
-    normalize,
+    orbit_to_partition,
     padded,
 )
 
@@ -169,55 +170,30 @@ def simple_current_shift(a, t: int, ctx) -> tuple:
     return tuple(sorted(((x + t) % N for x in a), reverse=True))
 
 
-def _staircase_form(o, N: int):
-    """Decompose o as the shift by t of (1^m, 0^{k-m}), or None.
-
-    These are exactly the orbits with at most two residue values that are
-    consecutive mod N; raw and fixed products agree on them.
-    """
-    values = sorted(set(o))
-    if len(values) == 1:
-        return values[0], 0
-    if len(values) == 2:
-        lo, hi = values
-        if hi - lo == 1:
-            return lo, sum(1 for x in o if x == hi)
-        if lo == 0 and hi == N - 1:
-            return hi, sum(1 for x in o if x == lo)
-    return None
-
-
-def orbit_partition(o) -> tuple:
-    """Partition attached to an orbit: conjugate of its standard form."""
-    return conjugate(normalize(tuple(sorted(o, reverse=True))))
-
-
 def fixed_product(a, b, ctx) -> dict:
     """Associative product on orbits matching the fusion coefficients.
 
-    Staircase factors multiply by the raw rule directly.  Any other factor
-    is expanded through its homogeneous determinant: with q the partition of
-    b, det[x_{q_i - i + j}], where x_m is multiplication by
-    [(1^m, 0^{k-m})] and an index outside 0..k is a zero entry.  The step
-    products commute, so partitions.det_expand expands the determinant row
-    by row over the sets of used columns.
+    The simple current permutes the product: a . b = (a + t) . (b - t).
+    Each factor is shifted by one of its own entries t to the form whose
+    largest entry L is smallest; L is the row count of its partition q.
+    The factor with the fewer rows is expanded through its homogeneous
+    determinant det[x_{q_i - i + j}], where x_m is multiplication by
+    [(1^m, 0^{k-m})] and an index outside 0..k is a zero entry, acting on
+    the other factor shifted by +t.  A staircase factor (t+1)^m t^(k-m) is
+    the case L = 1, one raw 0/1 step, and a constant orbit (t^k) is L = 0,
+    the shift alone.  The step products commute, so partitions.det_expand
+    expands the determinant row by row over the sets of used columns.
     """
     N, k = ctx
     a, b = _check_pair(a, b, ctx)
-    a = standard_form(a, N)
-    b = standard_form(b, N)
-    sa, sb = _staircase_form(a, N), _staircase_form(b, N)
-    if sb is None and sa is not None:
-        a, b, sb = b, a, sa
-    if sb is not None:
-        t, m = sb
-        return special_orbit_product(simple_current_shift(a, t, ctx), m, ctx)
-    # expand the factor whose partition has fewer rows
-    if len(orbit_partition(a)) < len(orbit_partition(b)):
-        a, b = b, a
+    _, t, a, b = min(
+        (max((x - t) % N for x in o), t, other, o)
+        for o, other in ((a, b), (b, a))
+        for t in set(o)
+    )
     acc = det_expand(
-        {a: 1},
-        orbit_partition(b),
+        {simple_current_shift(a, t, ctx): 1},
+        orbit_to_partition(simple_current_shift(b, -t % N, ctx)),
         lambda rep, m: special_orbit_product(rep, m, ctx),
         0,
         k,

@@ -122,10 +122,6 @@ def partition_to_weight(p, N: int) -> tuple:
     return tuple(p[j] - p[j + 1] for j in range(N - 1))
 
 
-def weight_level(w) -> int:
-    return sum(w)
-
-
 def weight_to_orbit(w, ctx) -> tuple:
     """Standard-form orbit ((N-1)^{a_{N-1}}, ..., 1^{a_1}, 0^{a_0}), a_0 = k - sum."""
     N, k = ctx
@@ -147,11 +143,6 @@ def weight_to_orbit(w, ctx) -> tuple:
 def orbit_to_partition(o) -> tuple:
     """Conjugate of the orbit representative read as a partition."""
     return conjugate(normalize(o))
-
-
-def orbit_to_weight(o, ctx) -> tuple:
-    N, _ = ctx
-    return partition_to_weight(orbit_to_partition(o), N)
 
 
 def partition_to_orbit(p, ctx) -> tuple:

@@ -344,6 +344,42 @@ class TestTableCache:
         with open(path) as fh:
             assert json.load(fh) == good
 
+    def _clean_miss(self, run, tmp_path):
+        args = ("table", "--N", "3", "--k", "2", "--format", "json")
+        code, out, err = run(*args, "--cache-dir", str(tmp_path / "clean"))
+        assert code == 0 and err == ""
+        return args, out
+
+    def test_non_object_cache_recomputes_with_warning(self, run, tmp_path):
+        args, miss = self._clean_miss(run, tmp_path)
+        cache = tmp_path / "bad"
+        cache.mkdir()
+        for doc in ("[1,2]", '"x"'):
+            (cache / "table_N3_k2.json").write_text(doc)
+            code, out, err = run(*args, "--cache-dir", str(cache))
+            assert code == 0
+            assert "warning" in err and "not an object" in err
+            assert out == miss
+
+    def test_directory_at_cache_path_recomputes_with_warning(self, run, tmp_path):
+        args, miss = self._clean_miss(run, tmp_path)
+        cache = tmp_path / "bad"
+        (cache / "table_N3_k2.json").mkdir(parents=True)
+        code, out, err = run(*args, "--cache-dir", str(cache))
+        assert code == 0
+        assert "warning" in err
+        assert out == miss
+
+    def test_file_as_cache_dir_warns_on_store(self, run, tmp_path):
+        args, miss = self._clean_miss(run, tmp_path)
+        cache = tmp_path / "plain"
+        cache.write_text("not a directory")
+        code, out, err = run(*args, "--cache-dir", str(cache))
+        assert code == 0
+        assert "warning" in err
+        assert out == miss
+        assert cache.read_text() == "not a directory"
+
     def test_env_var_cache_dir(self, run, tmp_path, monkeypatch):
         monkeypatch.setenv("FUSIONKIT_CACHE", str(tmp_path))
         code, _, _ = run("table", "--N", "2", "--k", "2")

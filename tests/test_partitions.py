@@ -180,13 +180,6 @@ class TestWeightMaps:
             (2, 1, 1), 4
         )
 
-    def test_level_and_orbit_weight_helpers(self):
-        from fusionkit.partitions import orbit_to_weight, weight_level
-
-        assert weight_level((1, 1)) == 2
-        assert orbit_to_weight((2, 1, 0), (3, 3)) == (1, 1)
-        assert orbit_to_weight((0, 0, 0), (3, 3)) == (0, 0)
-
 
 def bruteforce_tableau_count(outer, inner, content, ctx=None):
     """Dumb oracle: try every assignment of values to cells, filter all rules."""
