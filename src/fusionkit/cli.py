@@ -4,7 +4,8 @@ Operand grammar (three bracket styles, so kinds cannot be confused):
 partitions ``[3,2,1]`` (empty ``[]``), weights ``{1,1}``, orbit
 representatives ``(2,1,0)``.  Expansions render as ``mult*label`` terms
 sorted by graded lexicographic key, or as ``fusionkit/expansion/v1`` JSON.
-Exit status: 0 success, 1 computational mismatch, 2 usage or parse error.
+Exit status: 0 success, 1 computational mismatch, 2 usage or parse error,
+or a ``table --out`` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -301,8 +302,13 @@ def _cmd_table(args) -> int:
         table = fusion.full_table(ctx)
         cache_store(path, table)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(table.to_json_dict()))
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(table.to_json_dict()))
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"error: cannot write --out {args.out}: {reason}", file=sys.stderr)
+            return 2
     status = 0
     if args.format == "json":
         print(json.dumps(table.to_json_dict()))

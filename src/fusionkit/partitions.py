@@ -73,31 +73,6 @@ def contains(outer, inner) -> bool:
     return all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
-def skew_size(outer, inner) -> int:
-    if not contains(outer, inner):
-        raise ValueError(f"{inner} not contained in {outer}")
-    return sum(outer) - sum(inner)
-
-
-def is_row_strip(outer, inner, m: int) -> bool:
-    """True iff outer/inner has exactly m boxes, at most one per column."""
-    outer, inner = normalize(outer), normalize(inner)
-    if not contains(outer, inner) or skew_size(outer, inner) != m:
-        return False
-    inner = padded(inner, len(outer))
-    # one box per column <=> rows interlace: outer_{i+1} <= inner_i
-    return all(outer[i + 1] <= inner[i] for i in range(len(outer) - 1))
-
-
-def is_column_strip(outer, inner, m: int) -> bool:
-    """True iff outer/inner has exactly m boxes, at most one per row."""
-    outer, inner = normalize(outer), normalize(inner)
-    if not contains(outer, inner) or skew_size(outer, inner) != m:
-        return False
-    inner = padded(inner, len(outer))
-    return all(outer[i] - inner[i] <= 1 for i in range(len(outer)))
-
-
 def reduce_full_columns(p, N: int) -> tuple:
     """Strip columns of height N: subtract the N-th part from every part."""
     p = padded(normalize(p), N)

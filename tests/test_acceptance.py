@@ -7,6 +7,7 @@ each test also prints an ``ACCEPTANCE n PASS`` line (visible with ``-s``).
 import random
 from math import comb
 
+from fusionkit import fusion
 from fusionkit.duality import quotient_table, sc_orbit, verify_rank_level_duality
 from fusionkit.fusion import (
     basis,
@@ -243,10 +244,20 @@ def test_criterion_06_nonassociativity_and_fix():
     print("ACCEPTANCE 6 PASS: raw witness (3 vs 4); fixed product associative")
 
 
-def test_criterion_07_fusion_axioms():
-    for N, k in THREE_WAY_CONTEXTS + [(3, 6), (4, 4), (5, 3), (6, 3)]:
-        report = verify_fusion_axioms(full_table(fusion_context(N, k)))
+def test_criterion_07_fusion_axioms(monkeypatch):
+    visits = []
+    associator = fusion._associator
+    monkeypatch.setattr(
+        fusion, "_associator", lambda *args: visits.append(1) or associator(*args)
+    )
+    for N, k in THREE_WAY_CONTEXTS + [(3, 6), (4, 4), (5, 3), (6, 3), (4, 6),
+                                      (4, 7), (3, 12), (8, 3), (5, 5)]:
+        table = full_table(fusion_context(N, k))
+        visits.clear()
+        report = verify_fusion_axioms(table)
         assert report.ok, (N, k, report.failures())
+        # associativity by Light's test: n^2 triples per generator, no full scan
+        assert len(visits) == len(table.basis) ** 2 * min(N - 1, k), (N, k)
     print("ACCEPTANCE 7 PASS: all fusion-algebra axioms hold on every table")
 
 

@@ -409,6 +409,21 @@ class TestTableCache:
         with open(target) as fh:
             assert json.load(fh)["schema"] == "fusionkit/table/v2"
 
+    def test_out_into_missing_directory_exits_2(self, run, tmp_path):
+        target = tmp_path / "missing" / "copy.json"
+        code, out, err = run(
+            "table",
+            "--N", "2", "--k", "2",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(target),
+            "--verify-axioms",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write --out {target}: ")
+        assert "Traceback" not in err
+        assert not target.exists()
+
 
 class TestDuality:
     def test_text_report(self, run):

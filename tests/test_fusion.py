@@ -21,9 +21,8 @@ from fusionkit.fusion import (
     verify_fusion_axioms,
 )
 from fusionkit.partitions import (
+    contains,
     fusion_context,
-    is_column_strip,
-    is_row_strip,
     normalize,
     padded,
     partitions_in_box,
@@ -32,6 +31,31 @@ from fusionkit.partitions import (
 
 CTX33 = fusion_context(3, 3)
 CTX43 = fusion_context(4, 3)
+# the table-workload contexts and the criterion-7 contexts up to n = 56
+LIGHT_CONTEXTS = [
+    (3, 4), (5, 2), (2, 16), (4, 3), (3, 5), (6, 2),
+    (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (7, 2), (8, 2),
+    (3, 6), (4, 4), (5, 3), (6, 3),
+]
+
+
+def _is_row_strip(outer, inner, m: int) -> bool:
+    """True iff outer/inner has exactly m boxes, at most one per column."""
+    outer, inner = normalize(outer), normalize(inner)
+    if not contains(outer, inner) or sum(outer) - sum(inner) != m:
+        return False
+    inner = padded(inner, len(outer))
+    # one box per column <=> rows interlace: outer_{i+1} <= inner_i
+    return all(outer[i + 1] <= inner[i] for i in range(len(outer) - 1))
+
+
+def _is_column_strip(outer, inner, m: int) -> bool:
+    """True iff outer/inner has exactly m boxes, at most one per row."""
+    outer, inner = normalize(outer), normalize(inner)
+    if not contains(outer, inner) or sum(outer) - sum(inner) != m:
+        return False
+    inner = padded(inner, len(outer))
+    return all(outer[i] - inner[i] <= 1 for i in range(len(outer)))
 
 
 def _pieri_h_oracle(p, m, ctx):
@@ -58,6 +82,46 @@ def _pieri_h_oracle(p, m, ctx):
 
     rec(0, k, m, ())
     return out
+
+
+class TestStrips:
+    def test_both_strip_kinds(self):
+        assert _is_row_strip((4, 3, 1, 1), (3, 2, 1, 0), 3)
+        assert _is_column_strip((4, 3, 1, 1), (3, 2, 1, 0), 3)
+
+    def test_empty_skew(self):
+        assert _is_row_strip((2, 1), (2, 1), 0)
+        assert _is_column_strip((2, 1), (2, 1), 0)
+
+    def test_two_boxes_in_a_row(self):
+        assert _is_row_strip((5, 1), (3, 1), 2)
+        assert not _is_column_strip((5, 1), (3, 1), 2)
+
+    def test_box_count_must_match(self):
+        assert not _is_row_strip((5, 1), (3, 1), 3)
+
+    def test_against_bruteforce_column_counts(self):
+        # per-column / per-row box counts computed directly from the diagram
+        box = list(partitions_in_box(4, 4))
+        for outer in box:
+            for inner in box:
+                if not all(
+                    padded(inner, 4)[i] <= padded(outer, 4)[i] for i in range(4)
+                ):
+                    continue
+                o, i = padded(outer, 4), padded(inner, 4)
+                m = sum(o) - sum(i)
+                col_counts = [
+                    sum(1 for r in range(4) if i[r] < c + 1 <= o[r])
+                    for c in range(4)
+                ]
+                row_counts = [o[r] - i[r] for r in range(4)]
+                assert _is_row_strip(outer, inner, m) == all(
+                    c <= 1 for c in col_counts
+                )
+                assert _is_column_strip(outer, inner, m) == all(
+                    c <= 1 for c in row_counts
+                )
 
 
 class TestBasis:
@@ -116,7 +180,7 @@ class TestPieriH:
             for m in range(k + 1):
                 expected = {}
                 for nu in box:
-                    if is_row_strip(nu, p, m):
+                    if _is_row_strip(nu, p, m):
                         key = reduce_full_columns(nu, N)
                         expected[key] = expected.get(key, 0) + 1
                 assert pieri_h(p, m, CTX43) == expected
@@ -163,7 +227,7 @@ class TestPieriE:
                     nu_pad = padded(nu, N)
                     if nu_pad[0] - nu_pad[N - 1] > k:
                         continue
-                    if is_column_strip(nu, p, m):
+                    if _is_column_strip(nu, p, m):
                         key = reduce_full_columns(nu, N)
                         expected[key] = expected.get(key, 0) + 1
                 assert pieri_e(p, m, CTX33) == expected
@@ -380,11 +444,6 @@ class TestTable:
                     row = {t.basis[c]: m for c, m in t.constants[a * n + b]}
                     assert row == multiply(p, q, ctx), (N, k, p, q)
 
-    def test_cap(self):
-        assert len(basis(fusion_context(3, 19))) == 210
-        with pytest.raises(ValueError):
-            full_table(fusion_context(3, 19))
-
     def test_json_round_trip(self):
         t = full_table(fusion_context(3, 2))
         data = json.loads(json.dumps(t.to_json_dict()))
@@ -428,31 +487,51 @@ def _associator(t, a, b, c, e):
     )
 
 
+def _products(t, a, b, c):
+    """((ab)c, a(bc)) on a dense table, as dense vectors in the result index;
+    equal entrywise to _associator, with the zero terms of each sum skipped."""
+    left = right = [0] * len(t)
+    for d, m in enumerate(t[a][b]):
+        if m:
+            left = [x + m * y for x, y in zip(left, t[d][c])]
+    for d, m in enumerate(t[b][c]):
+        if m:
+            right = [x + m * y for x, y in zip(right, t[a][d])]
+    return left, right
+
+
 def _dense_checks(t):
     """Reference: the six axiom checks visiting every index of a dense table,
     each witness the first failure in lexicographic order."""
     R = range(len(t))
-    cells = list(itertools.product(R, repeat=3))
+    # each row is scanned entry by entry only if the whole-row test fails
     neg = next(
-        ((a, b, c, t[a][b][c]) for a, b, c in cells if t[a][b][c] < 0), None
+        (
+            (a, b, c, x)
+            for a, b in itertools.product(R, repeat=2)
+            if min(t[a][b]) < 0
+            for c, x in enumerate(t[a][b])
+            if x < 0
+        ),
+        None,
     )
     comm = next(
         (
-            (a, b, c, t[a][b][c], t[b][a][c])
-            for a, b, c in cells
-            if t[a][b][c] != t[b][a][c]
+            (a, b, c, x, y)
+            for a, b in itertools.product(R, repeat=2)
+            if t[a][b] != t[b][a]
+            for c, (x, y) in enumerate(zip(t[a][b], t[b][a]))
+            if x != y
         ),
         None,
     )
-    assoc = next(
-        (
-            (a, b, c, e) + _associator(t, a, b, c, e)
-            for a, b, c in cells
-            for e in R
-            if len(set(_associator(t, a, b, c, e))) == 2
-        ),
-        None,
-    )
+    assoc = None
+    for a, b, c in itertools.product(R, repeat=3):
+        left, right = _products(t, a, b, c)
+        if left != right:
+            e = next(e for e in R if left[e] != right[e])
+            assoc = (a, b, c, e, left[e], right[e])
+            break
     omega = next(
         (a for a in R if all(t[a][b][c] == (b == c) for b in R for c in R)), None
     )
@@ -483,7 +562,7 @@ def _dense_checks(t):
     sym = next(
         (
             (a, b, c)
-            for a, b, c in cells
+            for a, b, c in itertools.product(R, repeat=3)
             if not t[a][b][sigma[c]] == t[c][b][sigma[a]] == t[a][c][sigma[b]]
         ),
         None,
@@ -558,6 +637,25 @@ class TestAxioms:
         # every check both passed and failed somewhere in the sample
         assert len(verdicts) == 12, sorted(verdicts)
 
+    def test_symmetric_mutations_match_dense_oracle(self):
+        rng = random.Random(12)
+        for N, k in ((3, 3), (4, 3), (3, 4), (5, 2), (2, 6), (6, 2)):
+            table0 = full_table(fusion_context(N, k))
+            t0 = _dense(table0)
+            n = len(t0)
+            for _ in range(100):
+                t = [[list(col) for col in row] for row in t0]
+                rows = list(table0.constants)
+                for _ in range(rng.randint(1, 2)):
+                    a, b, c = (rng.randrange(n) for _ in range(3))
+                    m = rng.choice([x for x in (0, 1, 2, -1) if x != t[a][b][c]])
+                    t[a][b][c] = t[b][a][c] = m
+                    rows[a * n + b] = rows[b * n + a] = tuple(
+                        (e, x) for e, x in enumerate(t[a][b]) if x
+                    )
+                table = FusionTable(N, k, table0.basis, tuple(rows))
+                assert verify_fusion_axioms(table).checks == _dense_checks(t), (N, k)
+
     def test_all_small_tables_pass(self):
         for N in (2, 3, 4):
             for k in (1, 2, 3):
@@ -600,3 +698,66 @@ class TestClosedForms:
         assert fus[(2, 1)] == 2
         raw = raw_orbit_product((2, 1, 0), (2, 1, 0), CTX33)
         assert raw[(2, 1, 0)] == comb(fus[(2, 1)] + 1, 2) == 3
+
+
+@pytest.fixture
+def associator_visits(monkeypatch):
+    """Count the calls of fusion._associator, the per-triple kernel."""
+    visits = []
+    real = fusion._associator
+
+    def counting(t, a, b, c):
+        visits.append((a, b, c))
+        return real(t, a, b, c)
+
+    monkeypatch.setattr(fusion, "_associator", counting)
+    return visits
+
+
+class TestLightAssociativity:
+    def test_fast_path_visits_generator_triples_only(self, associator_visits):
+        for N, k in LIGHT_CONTEXTS:
+            table = full_table(fusion_context(N, k))
+            n = len(table.basis)
+            associator_visits.clear()
+            assert verify_fusion_axioms(table).ok, (N, k)
+            assert len(associator_visits) == n * n * min(N - 1, k), (N, k)
+            # the middle factors are the one-column or one-row labels
+            middles = {table.basis[b] for _, b, _ in associator_visits}
+            if N - 1 <= k:
+                assert middles == {(1,) * m for m in range(1, N)}
+            else:
+                assert middles == {(m,) for m in range(1, k + 1)}
+
+    def test_edited_generator_row_falls_back_to_full_scan(self, associator_visits):
+        # (3,3) takes column generators, (5,2) row generators
+        for (N, k), gens in (((3, 3), ((1,), (1, 1))), ((5, 2), ((1,), (2,)))):
+            ctx = fusion_context(N, k)
+            t0 = _dense(full_table(ctx))
+            base = tuple(basis(ctx))
+            n = len(base)
+            for g in gens:
+                for a in range(1, n):  # row 0 is the identity and stays
+                    t = [[list(col) for col in row] for row in t0]
+                    b, c = base.index(g), (a * 7 + 3) % n
+                    t[a][b][c] = t[b][a][c] = t0[a][b][c] + 1
+                    associator_visits.clear()
+                    report = verify_fusion_axioms(FusionTable(N, k, base, _sparse(t)))
+                    assert report.checks == _dense_checks(t), (N, k, g, a)
+                    name, passed, witness = report.checks[2]
+                    assert name == "associativity" and not passed
+                    # the full scan ran: (0, 0, 0) has the identity in the middle
+                    assert (0, 0, 0) in associator_visits
+                    assert associator_visits[-1] == witness[:3]
+
+    def test_no_generator_labels_takes_full_scan(self, associator_visits):
+        # x1*x1 = x0, x1*x2 = x2, x2*x2 = x0 + x1; no (1^m) label is listed
+        # for N = 0, so generation cannot be shown
+        base = ((), (1,), (2,))
+        rows = {(0, 0): (1, 0, 0), (0, 1): (0, 1, 0), (0, 2): (0, 0, 1),
+                (1, 1): (1, 0, 0), (1, 2): (0, 0, 1), (2, 2): (1, 1, 0)}
+        t = [[list(rows[min(a, b), max(a, b)]) for b in range(3)] for a in range(3)]
+        report = verify_fusion_axioms(FusionTable(0, 0, base, _sparse(t)))
+        assert report.ok
+        assert report.checks == _dense_checks(t)
+        assert associator_visits == list(itertools.product(range(3), repeat=3))

@@ -16,8 +16,6 @@ from fusionkit.partitions import (
     det_expand,
     dominant_kostka,
     fusion_context,
-    is_column_strip,
-    is_row_strip,
     iter_distinct_permutations,
     iter_skew_tableaux,
     level_k_weights,
@@ -82,45 +80,6 @@ class TestConjugate:
     @given(partition_strategy())
     def test_preserves_size(self, p):
         assert sum(conjugate(p)) == sum(p)
-
-
-class TestStrips:
-    def test_both_strip_kinds(self):
-        assert is_row_strip((4, 3, 1, 1), (3, 2, 1, 0), 3)
-        assert is_column_strip((4, 3, 1, 1), (3, 2, 1, 0), 3)
-
-    def test_empty_skew(self):
-        assert is_row_strip((2, 1), (2, 1), 0)
-        assert is_column_strip((2, 1), (2, 1), 0)
-
-    def test_two_boxes_in_a_row(self):
-        assert is_row_strip((5, 1), (3, 1), 2)
-        assert not is_column_strip((5, 1), (3, 1), 2)
-
-    def test_box_count_must_match(self):
-        assert not is_row_strip((5, 1), (3, 1), 3)
-
-    def test_against_bruteforce_column_counts(self):
-        # per-column / per-row box counts computed directly from the diagram
-        for outer in all_partitions_in_box(4, 4):
-            for inner in all_partitions_in_box(4, 4):
-                if not all(
-                    padded(inner, 4)[i] <= padded(outer, 4)[i] for i in range(4)
-                ):
-                    continue
-                o, i = padded(outer, 4), padded(inner, 4)
-                m = sum(o) - sum(i)
-                col_counts = [
-                    sum(1 for r in range(4) if i[r] < c + 1 <= o[r])
-                    for c in range(4)
-                ]
-                row_counts = [o[r] - i[r] for r in range(4)]
-                assert is_row_strip(outer, inner, m) == all(
-                    c <= 1 for c in col_counts
-                )
-                assert is_column_strip(outer, inner, m) == all(
-                    c <= 1 for c in row_counts
-                )
 
 
 class TestEquivalence:
