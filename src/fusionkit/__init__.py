@@ -8,7 +8,8 @@ Three independent computation routes over one basis:
 * ``weyl``: tableau Racah-Speiser and Kac-Walton algorithms;
 
 plus ``duality`` for simple-current quotients and type-A rank-level duality,
-and a ``fusionkit`` command-line front end.
+``crosscheck`` for relations between two routes, and a ``fusionkit``
+command-line front end.
 """
 
 from .partitions import FusionContext, fusion_context

@@ -134,12 +134,9 @@ def expansion_json(expansion, kind: str) -> dict:
     }
 
 
-def _emit(args, expansion, kind: str, extra: dict | None = None) -> None:
+def _emit(args, expansion, kind: str) -> None:
     if args.format == "json":
-        doc = expansion_json(expansion, kind)
-        if extra:
-            doc.update(extra)
-        print(json.dumps(doc))
+        print(json.dumps(expansion_json(expansion, kind)))
     else:
         print(render_text(expansion, kind))
 
@@ -329,16 +326,8 @@ def _cmd_table(args) -> int:
 def _cmd_duality(args) -> int:
     N, k = args.N, args.k
     report = duality_mod.verify_rank_level_duality(N, k)
-    doc = {
-        "schema": "fusionkit/duality/v1",
-        "N": report["N"],
-        "k": report["k"],
-        "classes": report["classes"],
-        "isomorphic": report["isomorphic"],
-        "witness": report["witness"],
-    }
     if args.format == "json":
-        print(json.dumps(doc))
+        print(json.dumps({"schema": "fusionkit/duality/v1", **report}))
     else:
         verdict = "isomorphic" if report["isomorphic"] else "NOT isomorphic"
         print(

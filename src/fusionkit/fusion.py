@@ -16,9 +16,7 @@ import itertools
 import json
 import zlib
 from dataclasses import dataclass
-from math import comb
 
-from .orbits import raw_orbit_product
 from .partitions import (
     conjugate,
     count_cylindric_tableaux,
@@ -26,7 +24,6 @@ from .partitions import (
     fusion_context,
     normalize,
     padded,
-    partition_to_orbit,
     partitions_in_box,
     reduce_full_columns,
 )
@@ -431,16 +428,12 @@ def verify_fusion_axioms(table: FusionTable) -> AxiomReport:
     if ok:
         # N_ab^{sigma c} = N_cb^{sigma a} = N_ac^{sigma b} fails only where one
         # side is nonzero: visit the triples that put each N_pq^r != 0 there
-        triples = {
-            triple
-            for p, q in itertools.product(range(n), repeat=2)
-            for s in (sigma[r] for r in t[p][q])
-            for triple in ((p, q, s), (s, q, p), (p, s, q))
-        }
         witness = min(
             (
                 (a, b, c)
-                for a, b, c in triples
+                for p, q in itertools.product(range(n), repeat=2)
+                for s in (sigma[r] for r in t[p][q])
+                for a, b, c in ((p, q, s), (s, q, p), (p, s, q))
                 if not t[a][b].get(sigma[c], 0)
                 == t[c][b].get(sigma[a], 0)
                 == t[a][c].get(sigma[b], 0)
@@ -471,28 +464,3 @@ def gepner_witten_a1(a: int, b: int, c: int, k: int) -> int:
     if (a + b - c) % 2 != 0:
         return 0
     return 1 if abs(a - b) <= c <= min(a + b, 2 * k - a - b) else 0
-
-
-def fw_a2_relation_check(ctx) -> list:
-    """Violations of raw = C(fusion + 1, 2) over all A_2 level-k triples.
-
-    The fusion products are read off full_table(ctx), and every raw orbit
-    product of the n^2 basis pairs is compared with them.
-    """
-    N, k = ctx
-    if N != 3:
-        raise ValueError(f"this relation is specific to N = 3, got N = {N}")
-    table = full_table(ctx)
-    base, n = table.basis, len(table.basis)
-    orbits = {p: partition_to_orbit(p, ctx) for p in base}
-    violations = []
-    for a, p in enumerate(base):
-        for b, q in enumerate(base):
-            fus = {base[c]: m for c, m in table.constants[a * n + b]}
-            raw = raw_orbit_product(orbits[p], orbits[q], ctx)
-            for r in base:
-                predicted = comb(fus.get(r, 0) + 1, 2)
-                actual = raw.get(orbits[r], 0)
-                if predicted != actual:
-                    violations.append((p, q, r, actual, predicted))
-    return violations

@@ -18,6 +18,7 @@ from .partitions import (
     iter_distinct_permutations,
     orbit_to_partition,
     padded,
+    rep_from_multiplicities,
 )
 
 BRUTEFORCE_LIMIT = 8
@@ -42,14 +43,6 @@ def orbit_multiplicities(o, N: int) -> tuple:
     for x in o:
         counts[x] += 1
     return tuple(counts)
-
-
-def rep_from_multiplicities(counts) -> tuple:
-    """Standard form ((N-1)^{a_{N-1}}, ..., 1^{a_1}, 0^{a_0}) from counts."""
-    entries = []
-    for value in range(len(counts) - 1, -1, -1):
-        entries.extend([value] * counts[value])
-    return tuple(entries)
 
 
 def _check_pair(a, b, ctx):

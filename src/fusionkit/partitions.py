@@ -97,6 +97,14 @@ def partition_to_weight(p, N: int) -> tuple:
     return tuple(p[j] - p[j + 1] for j in range(N - 1))
 
 
+def rep_from_multiplicities(counts) -> tuple:
+    """Standard form ((N-1)^{a_{N-1}}, ..., 1^{a_1}, 0^{a_0}) from counts."""
+    entries = []
+    for value in range(len(counts) - 1, -1, -1):
+        entries.extend([value] * counts[value])
+    return tuple(entries)
+
+
 def weight_to_orbit(w, ctx) -> tuple:
     """Standard-form orbit ((N-1)^{a_{N-1}}, ..., 1^{a_1}, 0^{a_0}), a_0 = k - sum."""
     N, k = ctx
@@ -108,11 +116,7 @@ def weight_to_orbit(w, ctx) -> tuple:
     a0 = k - sum(w)
     if a0 < 0:
         raise ValueError(f"weight {w} has level {sum(w)} > k = {k}")
-    entries = []
-    for value in range(N - 1, 0, -1):
-        entries.extend([value] * w[value - 1])
-    entries.extend([0] * a0)
-    return tuple(entries)
+    return rep_from_multiplicities((a0,) + w)
 
 
 def orbit_to_partition(o) -> tuple:
@@ -125,17 +129,9 @@ def partition_to_orbit(p, ctx) -> tuple:
     return weight_to_orbit(partition_to_weight(p, N), ctx)
 
 
-def level_k_weights(N: int, k: int) -> Iterator[tuple]:
+def level_k_weights(N: int, k: int) -> list:
     """All weights (a_1, ..., a_{N-1}) with sum <= k, in lexicographic order."""
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            yield prefix
-            return
-        for a in range(remaining + 1):
-            yield from rec(prefix + (a,), remaining - a, slots - 1)
-
-    yield from rec((), k, N - 1)
+    return sorted(partition_to_weight(p, N) for p in partitions_in_box(N - 1, k))
 
 
 def partitions_in_box(rows: int, cols: int) -> Iterator[tuple]:
@@ -260,13 +256,24 @@ def _skew_grid(outer, inner):
     return [(inner[r], outer[r]) for r in range(len(outer))]
 
 
-def iter_skew_tableaux(outer, inner, content) -> Iterator[dict]:
-    """Yield fillings of outer/inner with content[i] copies of value i+1.
+def count_cylindric_tableaux(outer, inner, content, ctx) -> int:
+    """Fusion skew Kostka number K^{(N,k)} of the shape and content.
 
-    A filling maps (row, col) -> value, rows weakly increasing left to
-    right, columns strictly increasing with the row index.  Cells are filled
-    row by row, left to right, so enumeration order is deterministic.
+    Counts tableaux of outer/inner with content[i] copies of value i+1
+    (rows weakly increasing, columns strictly increasing) where
+    additionally, for each column p <= nu_N, the entry in row N column p is
+    strictly less than the entry in row 1 column k+p (vacuous when either
+    cell is not a cell of the skew shape).  The cells are filled row by row,
+    left to right, and counted in place: no tableau is stored.  The
+    cylindric condition is a bound on whichever of its two cells is filled
+    later, an upper bound on row N column p or a lower bound on row 1
+    column k+p.  Once k reaches the width of outer, row 1 has no column
+    k+p, so the count is the plain skew Kostka number.
     """
+    N, k = ctx
+    outer = normalize(outer)
+    if len(outer) > N:
+        raise ValueError(f"outer partition {outer} has more than {N} rows")
     spans = _skew_grid(outer, inner)
     content = tuple(int(x) for x in content)
     if any(x < 0 for x in content):
@@ -278,63 +285,39 @@ def iter_skew_tableaux(outer, inner, content) -> Iterator[dict]:
             f"has {sum(content)}"
         )
     cells = [(r, c) for r, (start, stop) in enumerate(spans) for c in range(start, stop)]
+    index = {cell: i for i, cell in enumerate(cells)}
+    # lows[i]: (j, d) with value_i >= value_j + d; highs[i]: j with value_i < value_j
+    lows = [
+        [(index[a], d) for a, d in (((r, c - 1), 0), ((r - 1, c), 1)) if a in index]
+        for r, c in cells
+    ]
+    highs = [None] * len(cells)
+    for p in range(1, padded(outer, N)[N - 1] + 1):
+        top, bottom = index.get((N - 1, p - 1)), index.get((0, k + p - 1))
+        if top is None or bottom is None:
+            continue
+        if top > bottom:
+            highs[top] = bottom
+        else:
+            lows[bottom].append((top, 1))
+    values = [0] * len(cells)
     remaining = list(content)
-    grid: dict = {}
 
-    def fill(idx):
-        if idx == len(cells):
-            yield dict(grid)
-            return
-        r, c = cells[idx]
-        lo = 1
-        if (r, c - 1) in grid:
-            lo = max(lo, grid[(r, c - 1)])
-        if (r - 1, c) in grid:
-            lo = max(lo, grid[(r - 1, c)] + 1)
-        for v in range(lo, len(remaining) + 1):
-            if remaining[v - 1] == 0:
-                continue
-            remaining[v - 1] -= 1
-            grid[(r, c)] = v
-            yield from fill(idx + 1)
-            del grid[(r, c)]
-            remaining[v - 1] += 1
+    def fill(i):
+        if i == len(cells):
+            return 1
+        lo = max((values[j] + d for j, d in lows[i]), default=1)
+        hi = len(remaining) if highs[i] is None else values[highs[i]] - 1
+        count = 0
+        for v in range(lo, hi + 1):
+            if remaining[v - 1]:
+                remaining[v - 1] -= 1
+                values[i] = v
+                count += fill(i + 1)
+                remaining[v - 1] += 1
+        return count
 
-    yield from fill(0)
-
-
-def count_skew_tableaux(outer, inner, content) -> int:
-    """Plain skew Kostka number: tableaux of the shape with the given content."""
-    return sum(1 for _ in iter_skew_tableaux(outer, inner, content))
-
-
-def _satisfies_cylindric(grid, outer, ctx) -> bool:
-    N, k = ctx
-    nu = padded(normalize(outer), N)
-    for p in range(1, nu[N - 1] + 1):
-        top = grid.get((N - 1, p - 1))
-        bottom = grid.get((0, k + p - 1))
-        if top is not None and bottom is not None and top >= bottom:
-            return False
-    return True
-
-
-def count_cylindric_tableaux(outer, inner, content, ctx) -> int:
-    """Fusion skew Kostka number K^{(N,k)} of the shape and content.
-
-    Counts tableaux where additionally, for each column p <= nu_N, the entry
-    in row N column p is strictly less than the entry in row 1 column k+p
-    (vacuous when either cell is missing).
-    """
-    N, k = ctx
-    outer = normalize(outer)
-    if len(outer) > N:
-        raise ValueError(f"outer partition {outer} has more than {N} rows")
-    return sum(
-        1
-        for grid in iter_skew_tableaux(outer, inner, content)
-        if _satisfies_cylindric(grid, outer, ctx)
-    )
+    return fill(0)
 
 
 def _strips_removed(lam, m: int):

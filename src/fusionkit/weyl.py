@@ -11,16 +11,21 @@ repeated entry in c + shift lies on a wall and adds nothing, so each nu is
 expanded only over the permutations that keep c + shift repeat-free
 (``partitions.repeat_free_permutations``), not over its whole S_N orbit.
 Both products are commutative, so the sum runs over the factor whose module
-has the smaller Weyl dimension.  For tensor products the region is the
-strictly decreasing sequences (finite Weyl group, i.e. sorting); at level k
-an extra affine reflection bounds the spread of a sorted sequence s by
-N + k:
+has the smaller Weyl dimension.  At level k the region is the strictly
+decreasing sequences (finite Weyl group, i.e. sorting) whose spread is
+below N + k; an affine reflection bounds the spread of a sorted sequence s:
 
     r0: s |-> (s_N + (N+k), s_2, ..., s_{N-1}, s_1 - (N+k))
 
 Sequences with a repeated entry, or with spread exactly N + k, sit on a
 reflection wall and are dropped.  Every r0 application strictly decreases
 the sum of squares, so the push-down terminates.
+
+Racah-Speiser is the same walk at the level |lam| + |mu| (sums of the
+weight coefficients).  A content of the shape of lam has entries of at most
+|lam|, and the shift has spread |mu| + N - 1, so every shifted sequence has
+spread at most |lam| + |mu| + N - 1: below the wall, so r0 never fires and
+no sequence lies on the affine wall.
 """
 
 from __future__ import annotations
@@ -34,35 +39,28 @@ from .partitions import (
 )
 
 
-def _sort_desc_signed(seq):
-    """(sign, sorted tuple) for a repeat-free sequence, else None."""
-    if len(set(seq)) < len(seq):
-        return None
-    inv = sum(
-        1
-        for i in range(len(seq))
-        for j in range(i + 1, len(seq))
-        if seq[i] < seq[j]
-    )
-    return (-1 if inv % 2 else 1), tuple(sorted(seq, reverse=True))
-
-
 def _reflect_to_fundamental(seq, wall: int):
     """Push seq into the region {sorted, spread < wall}; None if on a wall."""
     sign = 1
-    cur = tuple(seq)
+    s = tuple(seq)
     while True:
-        res = _sort_desc_signed(cur)
-        if res is None:
+        if len(set(s)) < len(s):
             return None
-        s0, s = res
-        sign *= s0
+        inv = sum(
+            1
+            for i in range(len(s))
+            for j in range(i + 1, len(s))
+            if s[i] < s[j]
+        )
+        if inv % 2:
+            sign = -sign
+        s = tuple(sorted(s, reverse=True))
         spread = s[0] - s[-1]
         if spread == wall:
             return None
         if spread < wall:
             return sign, s
-        cur = (s[-1] + wall,) + s[1:-1] + (s[0] - wall,)
+        s = (s[-1] + wall,) + s[1:-1] + (s[0] - wall,)
         sign = -sign
 
 
@@ -104,11 +102,7 @@ def _alternating_sum(lam, mu, N, wall):
     for nu, count in dominant_kostka(shape, N).items():
         for content in repeat_free_permutations(nu, shift):
             seq = tuple(c + s for c, s in zip(content, shift))
-            res = (
-                _sort_desc_signed(seq)
-                if wall is None
-                else _reflect_to_fundamental(seq, wall)
-            )
+            res = _reflect_to_fundamental(seq, wall)
             if res is None:
                 continue
             sign, s = res
@@ -127,9 +121,12 @@ def _alternating_sum(lam, mu, N, wall):
 
 
 def racah_speiser_tensor(lam, mu, N: int) -> dict:
-    """Tensor-product decomposition of two dominant weights of A_{N-1}."""
+    """Tensor-product decomposition of two dominant weights of A_{N-1}.
+
+    The Kac-Walton walk at level |lam| + |mu|, which no shifted content reaches.
+    """
     lam, mu = _check_weight(lam, N), _check_weight(mu, N)
-    return _alternating_sum(lam, mu, N, None)
+    return _alternating_sum(lam, mu, N, N + sum(lam) + sum(mu))
 
 
 def kac_walton_fusion(lam, mu, ctx) -> dict:

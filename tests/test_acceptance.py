@@ -9,10 +9,10 @@ from math import comb
 
 from fusionkit import fusion
 from fusionkit.duality import quotient_table, sc_orbit, verify_rank_level_duality
+from fusionkit.crosscheck import fw_a2_relation_check
 from fusionkit.fusion import (
     basis,
     full_table,
-    fw_a2_relation_check,
     gepner_witten_a1,
     multiply,
     multiply_by_h_sequence,

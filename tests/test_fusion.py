@@ -6,12 +6,12 @@ from math import comb
 import pytest
 
 from fusionkit import fusion
+from fusionkit.crosscheck import fw_a2_relation_check
 from fusionkit.fusion import (
     AxiomReport,
     FusionTable,
     basis,
     full_table,
-    fw_a2_relation_check,
     gepner_witten_a1,
     multiply,
     multiply_by_h_sequence,

@@ -12,12 +12,10 @@ from fusionkit.orbits import special_orbit_product
 from fusionkit.partitions import (
     conjugate,
     count_cylindric_tableaux,
-    count_skew_tableaux,
     det_expand,
     dominant_kostka,
     fusion_context,
     iter_distinct_permutations,
-    iter_skew_tableaux,
     level_k_weights,
     normalize,
     orbit_to_partition,
@@ -206,7 +204,9 @@ class TestCylindricTableaux:
             ((2, 2, 2), (1, 1), (2, 2)),
         ]
         for outer, inner, content in cases:
-            plain = count_skew_tableaux(outer, inner, content)
+            plain = count_cylindric_tableaux(
+                outer, inner, content, (len(outer), outer[0])
+            )
             assert plain == bruteforce_tableau_count(outer, inner, content)
             for N in (3, 4):
                 if len(normalize(outer)) > N:
@@ -231,10 +231,47 @@ class TestCylindricTableaux:
                 outer, inner, content, ctx
             ) == bruteforce_tableau_count(outer, inner, content, ctx)
 
-    def test_enumeration_is_deterministic(self):
-        first = list(iter_skew_tableaux((3, 2), (1,), (2, 1, 1)))
-        second = list(iter_skew_tableaux((3, 2), (1,), (2, 1, 1)))
-        assert first == second
+    def test_seeded_sweep_against_bruteforce(self):
+        # N = 2..5, at most 7 cells; k below and at least the outer width
+        rng = random.Random(1313)
+        binding = free = inner_partner = 0
+        for _ in range(320):
+            while True:
+                N, k = rng.randint(2, 5), rng.randint(1, 4)
+                rows = N if rng.random() < 0.75 else rng.randint(1, N)
+                outer = normalize(
+                    sorted((rng.randint(1, k + 3) for _ in range(rows)), reverse=True)
+                )
+                inner, bound = [], outer[0]
+                for x in outer:
+                    bound = rng.randint(0, min(x, bound))
+                    inner.append(bound)
+                inner = normalize(inner)
+                cells = sum(outer) - sum(inner)
+                if cells <= 7:
+                    break
+            content = [0] * rng.randint(1, 4)
+            for _ in range(cells):
+                content[rng.randrange(len(content))] += 1
+            ctx = (N, k)
+            got = count_cylindric_tableaux(outer, inner, content, ctx)
+            assert got == bruteforce_tableau_count(outer, inner, content, ctx), (
+                outer, inner, content, ctx
+            )
+            if k >= outer[0]:
+                free += 1
+            elif got != count_cylindric_tableaux(
+                outer, inner, content, (N, outer[0])
+            ):
+                binding += 1
+            # a wrap pair with both cells in outer, one of them an inner cell
+            nu = padded(outer, N)
+            padded_inner = padded(inner, N)
+            inner_partner += any(
+                (p <= padded_inner[N - 1]) != (k + p <= padded_inner[0])
+                for p in range(1, min(nu[N - 1], outer[0] - k) + 1)
+            )
+        assert min(binding, free, inner_partner) >= 20, (binding, free, inner_partner)
 
 
 class TestTableauContents:
@@ -258,7 +295,7 @@ class TestTableauContents:
                 expected = {}
                 for w in level_k_weights(N, n):
                     content = w + (n - sum(w),)
-                    count = count_skew_tableaux(shape, (), content)
+                    count = count_cylindric_tableaux(shape, (), content, (N, 3))
                     if count:
                         expected[content] = count
                 contents = tableau_contents(shape, N)
