@@ -4,8 +4,9 @@ Operand grammar (three bracket styles, so kinds cannot be confused):
 partitions ``[3,2,1]`` (empty ``[]``), weights ``{1,1}``, orbit
 representatives ``(2,1,0)``.  Expansions render as ``mult*label`` terms
 sorted by graded lexicographic key, or as ``fusionkit/expansion/v1`` JSON.
-Exit status: 0 success, 1 computational mismatch, 2 usage or parse error,
-or a ``table --out`` file that cannot be written.
+Exit status: 0 success; 1 computational mismatch, internal invariant failure
+or an input too deep for a recursive kernel; 2 usage or parse error, or a
+``table --out`` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -54,10 +55,7 @@ def parse_partition(text: str) -> tuple:
 
 
 def parse_weight(text: str) -> tuple:
-    coeffs = _parse_int_list(text, "{", "}", "a weight")
-    if any(x < 0 for x in coeffs):
-        raise ValueError(f"weight coefficients must be >= 0: {text!r}")
-    return coeffs
+    return _parse_int_list(text, "{", "}", "a weight")
 
 
 def parse_orbit(text: str) -> tuple:
@@ -65,10 +63,7 @@ def parse_orbit(text: str) -> tuple:
 
 
 def parse_content(text: str) -> tuple:
-    seq = _parse_int_list(text, "[", "]", "a content sequence")
-    if any(x < 0 for x in seq):
-        raise ValueError(f"content entries must be >= 0: {text!r}")
-    return seq
+    return _parse_int_list(text, "[", "]", "a content sequence")
 
 
 def _operand_to_partition(text: str, ctx) -> tuple:
@@ -269,8 +264,8 @@ def cache_lookup(path: str, N: int, k: int):
         return None
 
 
-def cache_store(path: str, table) -> None:
-    """Atomic write: temp file in the target directory, then rename.
+def cache_store(path: str, text: str) -> None:
+    """Atomic write of the table's JSON text: a temp file beside path, then rename.
 
     A failure warns and leaves the cache as it was; the table is still used.
     """
@@ -281,7 +276,7 @@ def cache_store(path: str, table) -> None:
             dir=os.path.dirname(path), prefix=".table_", suffix=".tmp"
         )
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(table.to_json_dict()))
+            fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
         print(f"warning: cannot store cache {path}: {exc}", file=sys.stderr)
@@ -295,20 +290,24 @@ def _cmd_table(args) -> int:
     N, k = ctx
     path = cache_path(_cache_dir(args), N, k)
     table = cache_lookup(path, N, k)
+    text = None  # the table's JSON text, built at most once
     if table is None:
         table = fusion.full_table(ctx)
-        cache_store(path, table)
+        text = json.dumps(table.to_json_dict())
+        cache_store(path, text)
+    elif args.out or args.format == "json":
+        text = json.dumps(table.to_json_dict())
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(table.to_json_dict()))
+                fh.write(text)
         except OSError as exc:
             reason = exc.strerror or exc
             print(f"error: cannot write --out {args.out}: {reason}", file=sys.stderr)
             return 2
     status = 0
     if args.format == "json":
-        print(json.dumps(table.to_json_dict()))
+        print(text)
     else:
         print(f"fusion table N={N} k={k}: {len(table.basis)} basis elements ({path})")
     if args.verify_axioms:
@@ -424,8 +423,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        # an internal invariant failed, e.g. a negative multiplicity
+    except (ArithmeticError, RecursionError) as exc:
+        # an internal invariant failed (a negative multiplicity), or an input
+        # with many cells or rows recursed deeper than Python allows
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .partitions import (
     conjugate,
+    contains,
     count_cylindric_tableaux,
     det_expand,
     fusion_context,
@@ -123,34 +124,28 @@ def _product(p, q, ctx, step) -> dict:
 def multiply_by_h_sequence(p, eps, ctx) -> dict:
     """Product with h_{eps_1} ... h_{eps_r} in one pass, via cylindric tableaux.
 
-    The coefficient of nu is the fusion skew Kostka number of nu/p with
-    content eps; equals iterating pieri_h factor by factor.
+    The coefficient of a label r is the fusion skew Kostka number of nu/p
+    with content eps, nu = r padded to N rows plus c = (|p| + |eps| - |r|)/N
+    full columns: the one shape with nu_1 - nu_N <= k that reduces to r.  So
+    the shapes are read off the basis, and none is walked.  Equals iterating
+    pieri_h, with which it shares no enumeration code.
     """
     N, k = ctx
     p = _check_basis_element(p, ctx)
     eps = tuple(int(x) for x in eps)
     if any(not 0 <= e <= k for e in eps):
         raise ValueError(f"content entries must lie in 0..{k}: {eps}")
-    total = sum(eps)
-    pp = padded(p, N)
+    total = sum(p) + sum(eps)
     out: dict = {}
-
-    def rec(i, prev, rest, acc):
-        if i == N:
-            if rest:
-                return
-            nu = normalize(acc)
-            if (nu[0] if nu else 0) - acc[N - 1] > k:
-                return
+    for r in basis(ctx):
+        c, rest = divmod(total - sum(r), N)
+        if rest or c < 0:
+            continue
+        nu = tuple(x + c for x in padded(r, N))
+        if contains(nu, p):
             count = count_cylindric_tableaux(nu, p, eps, ctx)
             if count:
-                key = reduce_full_columns(nu, N)
-                out[key] = out.get(key, 0) + count
-            return
-        for x in range(pp[i], min(prev, pp[i] + rest) + 1):
-            rec(i + 1, x, rest - (x - pp[i]), acc + (x,))
-
-    rec(0, pp[0] + total, total, ())
+                out[r] = count
     return out
 
 

@@ -45,14 +45,13 @@ def orbit_multiplicities(o, N: int) -> tuple:
     return tuple(counts)
 
 
-def _check_pair(a, b, ctx):
+def _check_orbits(ctx, *orbits) -> tuple:
     N, k = ctx
-    a, b = _check_tuple(a, N), _check_tuple(b, N)
-    if len(a) != k or len(b) != k:
-        raise ValueError(
-            f"orbit lengths {len(a)}, {len(b)} do not match context k = {k}"
-        )
-    return a, b
+    orbits = tuple(_check_tuple(o, N) for o in orbits)
+    if any(len(o) != k for o in orbits):
+        lengths = ", ".join(str(len(o)) for o in orbits)
+        raise ValueError(f"orbit lengths {lengths} do not match context k = {k}")
+    return orbits
 
 
 def _bounded_compositions(total, bounds):
@@ -82,7 +81,7 @@ def raw_orbit_product(a, b, ctx) -> dict:
     splitting the residue multiset of b across the blocks.
     """
     N, k = ctx
-    a, b = _check_pair(a, b, ctx)
+    a, b = _check_orbits(ctx, a, b)
     a_counts = orbit_multiplicities(a, N)
     blocks = [(v, a_counts[v]) for v in range(N - 1, -1, -1) if a_counts[v]]
     b_counts = orbit_multiplicities(b, N)
@@ -115,8 +114,7 @@ def m_coefficient_bruteforce(a, b, c, ctx) -> int:
     independent of the blockwise route in raw_orbit_product on purpose.
     """
     N, k = ctx
-    a, b = _check_pair(a, b, ctx)
-    c = _check_tuple(c, N)
+    a, b, c = _check_orbits(ctx, a, b, c)
     if k > BRUTEFORCE_LIMIT:
         raise ValueError(f"k = {k} too large for brute-force orbit counting")
     a_hat = standard_form(a, N)
@@ -139,12 +137,11 @@ def special_orbit_product(a, m: int, ctx) -> dict:
     coefficient exactly 1.
     """
     N, k = ctx
-    a = _check_tuple(a, N)
-    if len(a) != k:
-        raise ValueError(f"orbit length {len(a)} does not match context k = {k}")
+    a_counts = orbit_multiplicities(a, N)
+    if sum(a_counts) != k:
+        raise ValueError(f"orbit length {sum(a_counts)} does not match context k = {k}")
     if not 0 <= m <= k:
         raise ValueError(f"m = {m} out of range 0..{k}")
-    a_counts = orbit_multiplicities(a, N)
     out: dict = {}
     for mvec in _bounded_compositions(m, a_counts):
         c_counts = [
@@ -178,7 +175,7 @@ def fixed_product(a, b, ctx) -> dict:
     expands the determinant row by row over the sets of used columns.
     """
     N, k = ctx
-    a, b = _check_pair(a, b, ctx)
+    a, b = _check_orbits(ctx, a, b)
     _, t, a, b = min(
         (max((x - t) % N for x in o), t, other, o)
         for o, other in ((a, b), (b, a))

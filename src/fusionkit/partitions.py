@@ -248,11 +248,15 @@ def det_expand(start: dict, q, step, lo: int, hi: int) -> dict:
 
 
 def _skew_grid(outer, inner):
-    """Row spans [(start, stop), ...] of the skew cells, absolute 0-based columns."""
-    outer = normalize(outer)
-    inner = padded(normalize(inner), len(outer)) if outer else ()
+    """Row spans [(start, stop), ...] of the skew cells, absolute 0-based columns.
+
+    inner must be contained in outer, the empty outer included; it is
+    padded to the length of outer only after that check.
+    """
+    outer, inner = normalize(outer), normalize(inner)
     if not contains(outer, inner):
         raise ValueError(f"{inner} not contained in {outer}")
+    inner = padded(inner, len(outer))
     return [(inner[r], outer[r]) for r in range(len(outer))]
 
 

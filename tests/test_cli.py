@@ -5,6 +5,7 @@ import zlib
 import pytest
 
 from fusionkit.cli import main
+from fusionkit.fusion import FusionTable
 
 
 @pytest.fixture
@@ -77,6 +78,13 @@ class TestFuse:
         )
         assert code == 2
         assert "'x'" in err
+
+    def test_negative_weight_operand_exits_2(self, run):
+        code, out, err = run(
+            "fuse", "--N", "3", "--k", "3", "--lhs", "{1,-1}", "--rhs", "[1]"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     def test_operand_above_level(self, run):
         code, _, err = run(
@@ -206,6 +214,40 @@ class TestKostka:
         )
         assert code == 2
 
+    def test_negative_content_exits_2(self, run):
+        code, _, err = run(
+            "kostka",
+            "--N", "3", "--k", "4",
+            "--outer", "[3]",
+            "--inner", "[]",
+            "--content", "[-1,4]",
+        )
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_empty_outer_with_inner_cell_exits_2(self, run):
+        code, out, err = run(
+            "kostka",
+            "--N", "3", "--k", "2",
+            "--outer", "[]",
+            "--inner", "[1]",
+            "--content", "[]",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "not contained" in err
+
+    def test_too_deep_recursion_exits_1_without_traceback(self, run):
+        code, out, err = run(
+            "kostka",
+            "--N", "3", "--k", "5",
+            "--outer", "[600,600]",
+            "--inner", "[]",
+            "--content", "[600,600]",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestWeights:
     def test_adjoint(self, run):
@@ -221,6 +263,11 @@ class TestWeights:
         doc = json.loads(out)
         assert doc["kind"] == "weight"
         assert sum(t["mult"] for t in doc["terms"]) == 8
+
+    def test_negative_coefficient_exits_2(self, run):
+        code, out, err = run("weights", "--N", "3", "--lambda", "{1,-1}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     def test_forty_boxes(self, run):
         code, out, _ = run(
@@ -408,6 +455,35 @@ class TestTableCache:
         assert code == 0
         with open(target) as fh:
             assert json.load(fh)["schema"] == "fusionkit/table/v2"
+
+    def test_miss_serializes_once_for_cache_out_and_stdout(
+        self, run, tmp_path, monkeypatch
+    ):
+        calls = []
+        to_json_dict = FusionTable.to_json_dict
+
+        def counted(self):
+            calls.append(None)
+            return to_json_dict(self)
+
+        monkeypatch.setattr(FusionTable, "to_json_dict", counted)
+        target = tmp_path / "copy.json"
+        code, out, _ = run(
+            "table",
+            "--N", "3", "--k", "3",
+            "--cache-dir", str(tmp_path),
+            "--out", str(target),
+            "--format", "json",
+        )
+        assert code == 0
+        assert len(calls) == 1
+        cached = (tmp_path / "table_N3_k3.json").read_text()
+        assert target.read_text() == cached
+        assert out == cached + "\n"
+        # a hit printed as text serializes nothing
+        code, out, _ = run("table", "--N", "3", "--k", "3", "--cache-dir", str(tmp_path))
+        assert code == 0 and out.startswith("fusion table N=3 k=3")
+        assert len(calls) == 1
 
     def test_out_into_missing_directory_exits_2(self, run, tmp_path):
         target = tmp_path / "missing" / "copy.json"

@@ -269,6 +269,18 @@ class TestMultiply:
                 assert multiply(p, q, CTX33) == pieri_h(p, m, CTX33)
 
 
+def iterated_pieri(p, eps, ctx):
+    """h_{eps_1} ... h_{eps_r} applied to p one pieri_h step at a time."""
+    out = {p: 1}
+    for m in eps:
+        nxt = {}
+        for r, mult in out.items():
+            for s, one in pieri_h(r, m, ctx).items():
+                nxt[s] = nxt.get(s, 0) + mult * one
+        out = nxt
+    return out
+
+
 class TestHSequence:
     def test_two_then_one(self):
         assert multiply_by_h_sequence((3, 2, 1), (2, 1), CTX43) == {
@@ -296,32 +308,29 @@ class TestHSequence:
                 for eps in [(1, 1), (2, 1), (k, 1), (2, 2, 1)]:
                     if any(e > k for e in eps):
                         continue
-                    expected = {p: 1}
-                    for m in eps:
-                        nxt = {}
-                        for r, mult in expected.items():
-                            for s, one in pieri_h(r, m, ctx).items():
-                                nxt[s] = nxt.get(s, 0) + mult * one
-                        expected = nxt
-                    assert multiply_by_h_sequence(p, eps, ctx) == expected
+                    assert multiply_by_h_sequence(p, eps, ctx) == iterated_pieri(
+                        p, eps, ctx
+                    )
 
     def test_randomized_kostka_vs_pieri(self):
         rng = random.Random(20040601)
-        for _ in range(200):
-            N = rng.randint(2, 4)
-            k = rng.randint(1, 4)
+        ranks, full_columns, tall_labels = set(), 0, 0
+        for _ in range(300):
+            N = rng.randint(2, 6)
+            k = rng.randint(1, 5)
             ctx = fusion_context(N, k)
             b = basis(ctx)
             p = b[rng.randrange(len(b))]
             eps = tuple(rng.randint(0, k) for _ in range(rng.randint(1, 3)))
-            expected = {p: 1}
-            for m in eps:
-                nxt = {}
-                for r, mult in expected.items():
-                    for s, one in pieri_h(r, m, ctx).items():
-                        nxt[s] = nxt.get(s, 0) + mult * one
-                expected = nxt
-            assert multiply_by_h_sequence(p, eps, ctx) == expected
+            got = multiply_by_h_sequence(p, eps, ctx)
+            assert got == iterated_pieri(p, eps, ctx), (N, k, p, eps)
+            ranks.add(N)
+            size = sum(p) + sum(eps)
+            # a label r of the product stands for r plus (size - |r|) / N full columns
+            full_columns += sum(size - sum(r) >= N for r in got)
+            tall_labels += sum(len(r) == N - 1 for r in got)
+        assert ranks == {2, 3, 4, 5, 6}
+        assert full_columns >= 100 and tall_labels >= 100, (full_columns, tall_labels)
 
     def test_rejects_large_entry(self):
         with pytest.raises(ValueError):

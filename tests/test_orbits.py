@@ -170,6 +170,10 @@ class TestBruteforceCoefficient:
         with pytest.raises(ValueError):
             m_coefficient_bruteforce((1,) * 9, (0,) * 9, (1,) * 9, ctx)
 
+    def test_rejects_short_result_orbit(self):
+        with pytest.raises(ValueError, match="orbit lengths 3, 3, 2"):
+            m_coefficient_bruteforce((2, 1, 0), (2, 1, 0), (2, 1), CTX33)
+
 
 class TestSpecialProduct:
     def test_matches_raw_on_row_factor(self):
@@ -197,6 +201,12 @@ class TestSpecialProduct:
     def test_m_out_of_range(self):
         with pytest.raises(ValueError):
             special_orbit_product((2, 1, 0), 4, CTX33)
+
+    def test_checks_length_and_residues(self):
+        with pytest.raises(ValueError, match="orbit length 2"):
+            special_orbit_product((2, 1), 1, CTX33)
+        with pytest.raises(ValueError, match="residues mod 3"):
+            special_orbit_product((3, 1, 0), 1, CTX33)
 
 
 class TestSimpleCurrentShift:

@@ -195,6 +195,11 @@ class TestCylindricTableaux:
         with pytest.raises(ValueError):
             count_cylindric_tableaux((2, 1), (), (1, 1), (3, 3))
 
+    def test_empty_outer_must_contain_inner(self):
+        with pytest.raises(ValueError, match="not contained"):
+            count_cylindric_tableaux((), (1,), (), (3, 2))
+        assert count_cylindric_tableaux((), (), (), (3, 2)) == 1
+
     def test_matches_plain_kostka_for_large_k(self):
         # wrap-around condition is vacuous once k reaches the outer width
         cases = [
