@@ -26,12 +26,6 @@ from .partitions import (
 )
 
 
-def sc_orbit(a, ctx) -> frozenset:
-    """Closure of {a} under shifting by every residue t."""
-    N, _ = ctx
-    return frozenset(simple_current_shift(a, t, ctx) for t in range(N))
-
-
 def canonical_sc_representative(members) -> tuple:
     """Lexicographically smallest member with a zero entry."""
     with_zero = [m for m in members if 0 in m]
@@ -114,9 +108,17 @@ def quotient_table(ctx) -> QuotientTable:
                     f"J({pa}*{pb})", shifted,
                 )
 
-    classes = tuple(
-        sorted({sc_orbit(o, ctx) for o in orbits}, key=canonical_sc_representative)
-    )
+    # J^t is the shift by t, so the classes are the cycles of J
+    cycles, seen = [], set()
+    for start in range(n):
+        cycle, c = set(), start
+        while c not in seen:
+            seen.add(c)
+            cycle.add(orbits[c])
+            c = J[c]
+        if cycle:
+            cycles.append(frozenset(cycle))
+    classes = tuple(sorted(cycles, key=canonical_sc_representative))
     reps = tuple(canonical_sc_representative(ms) for ms in classes)
     class_of = {o: C for C, members in enumerate(classes) for o in members}
     constants = []
@@ -136,9 +138,15 @@ def verify_rank_level_duality(N: int, k: int) -> dict:
 
     When N = k both quotients are the same table, built once.  Returns
     {"N", "k", "classes", "isomorphic", "witness"}; the witness names the
-    first mismatch when the transport fails.
+    first mismatch when the transport fails.  The dual rank parameter is k,
+    so k must be at least 2.
     """
     ctx = fusion_context(N, k)
+    if ctx.k < 2:
+        raise ValueError(
+            f"rank-level duality needs k >= 2, because the dual rank "
+            f"parameter is k; got k = {ctx.k}"
+        )
     dual_ctx = fusion_context(k, N)
     t1 = quotient_table(ctx)
     t2 = t1 if N == k else quotient_table(dual_ctx)

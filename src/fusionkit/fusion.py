@@ -2,12 +2,14 @@
 
 Basis elements are the partitions inside the (N-1) x k box.  Multiplication
 by a one-row factor h_m follows the level-k Pieri rule (row strips inside
-the N x k box, full columns stripped afterwards); a general product expands
+the N x k box, full columns stripped afterwards).  A single product expands
 one factor as its homogeneous Jacobi-Trudi determinant, with h_m = 0
-whenever m is outside 0..k.  The determinant is expanded row by row over
-the sets of used columns (partitions.det_expand), each entry acting as a
-Pieri step.  Signed intermediates must cancel to a non-negative result;
-that cancellation is asserted on every product.
+whenever m is outside 0..k; the determinant is expanded row by row over the
+sets of used columns (partitions.det_expand), each entry acting as a Pieri
+step.  A whole table is built by the Pieri recursion instead: each row is
+one Pieri step applied to an earlier row, less earlier rows (full_table).
+Signed intermediates must cancel to a non-negative result; that
+cancellation is asserted on every product.
 """
 
 from __future__ import annotations
@@ -104,21 +106,19 @@ def multiply(p, q, ctx) -> dict:
     partitions.det_expand.  Entries h_m with m outside 0..k vanish.
     """
     p, q = _check_basis_element(p, ctx), _check_basis_element(q, ctx)
-    return _product(p, q, ctx, lambda r, m: pieri_h(r, m, ctx))
-
-
-def _product(p, q, ctx, step) -> dict:
-    """multiply on canonical basis elements; step(r, m) returns pieri_h(r, m, ctx),
-    which det_expand only reads, so a memoised step may hand out one dict."""
     if len(p) < len(q):
         p, q = q, p
-    acc = det_expand({p: 1}, q, step, 0, ctx[1])
+    acc = det_expand({p: 1}, q, lambda r, m: pieri_h(r, m, ctx), 0, ctx[1])
     bad = {r: mult for r, mult in acc.items() if mult < 0}
     if bad:
-        raise ArithmeticError(
-            f"negative multiplicities {bad} in product {p} * {q} at {tuple(ctx)}"
-        )
+        raise _negative(bad, p, q, ctx)
     return acc
+
+
+def _negative(bad: dict, p, q, ctx) -> ArithmeticError:
+    return ArithmeticError(
+        f"negative multiplicities {bad} in product {p} * {q} at {tuple(ctx)}"
+    )
 
 
 def multiply_by_h_sequence(p, eps, ctx) -> dict:
@@ -233,29 +233,61 @@ def _checksum(N, k, base, constants) -> int:
 
 
 def full_table(ctx) -> FusionTable:
-    """Structure constants of every basis pair; symmetric pairs computed once.
+    """Structure constants of every basis pair, by the level-k Pieri recursion.
 
-    Each Pieri step h_m acting on a label is computed once per table: the
-    steps are memoised in a dict that lives only for this call, so a table
-    makes at most n * (k + 1) pieri_h calls.
+    Write a label as lam = (m, lam'), m its first row.  In the level-k ring
+    h_m s_lam' = s_lam + sum_nu c_nu s_nu, where every nu has the size of
+    lam, is lexicographically larger, and is a basis label (row N of a strip
+    on lam' stays empty, and nu_1 <= k).  So
+
+        row(a, lam) = h_m row(a, lam') - sum_nu c_nu row(a, nu):
+
+    one Pieri application per pair instead of a Jacobi-Trudi determinant.
+    The second labels are taken by size and then lex-descending, so every
+    row on the right is already in the table, and each unordered pair is
+    computed once.  Each Pieri step h_m acting on a label is computed once
+    per table, the nu included: the steps are memoised in a dict that lives
+    only for this call, so a table makes at most n * (k + 1) pieri_h calls.
     """
     N, k = ctx
     base = tuple(basis(ctx))
     n = len(base)
+    index = {p: i for i, p in enumerate(base)}
     steps: dict = {}
 
-    def step(r, m):
-        out = steps.get((r, m))
+    def step(c, m):
+        out = steps.get((c, m))
         if out is None:
-            out = steps[r, m] = pieri_h(r, m, ctx)
+            out = steps[c, m] = {
+                index[s]: x for s, x in pieri_h(base[c], m, ctx).items()
+            }
         return out
 
-    index = {p: i for i, p in enumerate(base)}
     constants = [None] * (n * n)
-    for a in range(n):
-        for b in range(a, n):
-            prod = _product(base[a], base[b], ctx, step)
-            row = tuple(sorted((index[r], m) for r, m in prod.items()))
+    # the basis is graded-lex ascending; a stable sort by size of its reverse
+    # gives size ascending, then lex-descending, with the identity first
+    order = sorted(reversed(range(n)), key=lambda i: sum(base[i]))
+    one = order[0]
+    for i, b in enumerate(order):
+        constants[one * n + b] = constants[b * n + one] = ((b, 1),)
+        if b == one:
+            continue
+        lam = base[b]
+        m, rest = lam[0], index[lam[1:]]
+        nus = [(nu, x) for nu, x in step(rest, m).items() if nu != b]
+        for a in order[1 : i + 1]:
+            acc: dict = {}
+            get = acc.get
+            for c, x in constants[a * n + rest]:
+                for s, y in step(c, m).items():
+                    acc[s] = get(s, 0) + x * y
+            for nu, x in nus:
+                for s, y in constants[a * n + nu]:
+                    acc[s] = get(s, 0) - x * y
+            row = tuple(sorted(item for item in acc.items() if item[1]))
+            bad = {base[s]: x for s, x in row if x < 0}
+            if bad:
+                raise _negative(bad, base[a], lam, ctx)
             constants[a * n + b] = constants[b * n + a] = row
     return FusionTable(N, k, base, tuple(constants))
 

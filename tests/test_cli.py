@@ -514,3 +514,12 @@ class TestDuality:
         assert doc["schema"] == "fusionkit/duality/v1"
         assert doc["isomorphic"] is True
         assert doc["N"] == 3 and doc["k"] == 3
+
+    def test_level_one_names_the_dual_rank_and_exits_2(self, run):
+        code, out, err = run("duality", "--N", "5", "--k", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "k >= 2" in err and "dual rank parameter is k" in err
+        assert "got k = 1" in err
+        assert "N must be" not in err

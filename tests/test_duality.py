@@ -5,7 +5,6 @@ from fusionkit.duality import (
     canonical_sc_representative,
     quotient_table,
     rank_level_dual,
-    sc_orbit,
     verify_rank_level_duality,
 )
 from fusionkit.fusion import FusionTable, basis, full_table, pieri_h
@@ -17,6 +16,12 @@ from fusionkit.partitions import (
 )
 
 CTX43 = fusion_context(4, 3)
+
+
+def sc_orbit(a, ctx) -> frozenset:
+    """Test oracle: closure of {a} under shifting by every residue t."""
+    N, _ = ctx
+    return frozenset(simple_current_shift(a, t, ctx) for t in range(N))
 
 
 def all_orbits(N, k):
@@ -52,6 +57,17 @@ class TestScOrbits:
                 for _ in range(N):
                     cur = simple_current_shift(cur, 1, ctx)
                 assert cur == o
+
+    def test_quotient_classes_match_oracle(self):
+        for N, k in [(2, 2), (3, 3), (4, 3), (4, 2), (6, 2), (3, 6), (4, 4)]:
+            ctx = fusion_context(N, k)
+            q = quotient_table(ctx)
+            expected = sorted(
+                {sc_orbit(o, ctx) for o in all_orbits(N, k)},
+                key=canonical_sc_representative,
+            )
+            assert q.classes == tuple(expected), (N, k)
+            assert q.reps == tuple(map(canonical_sc_representative, expected))
 
     def test_h_k_is_a_simple_current(self):
         for N, k in [(2, 3), (3, 3), (4, 2), (4, 3)]:
@@ -166,7 +182,7 @@ class TestRankLevelDuality:
     def test_acceptance_contexts(self):
         for N, k in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5),
                      (3, 4), (2, 6), (2, 7), (3, 5), (4, 4), (3, 6), (4, 5),
-                     (5, 5), (3, 8)]:
+                     (5, 5), (3, 8), (4, 6), (3, 9), (3, 10), (4, 7)]:
             report = verify_rank_level_duality(N, k)
             assert report["isomorphic"], report
             assert report["witness"] is None

@@ -444,14 +444,45 @@ class TestTable:
         assert len(calls) == 2 * once
 
     def test_rows_match_multiply(self):
-        for N, k in ((4, 3), (3, 5), (6, 2)):
+        # the table's Pieri recursion against multiply's Jacobi-Trudi
+        # determinant: every pair on the small and tall contexts, a seeded
+        # sample of pairs at (10, 2) and (8, 3)
+        rng = random.Random(15)
+        subtracting = 0
+        for N, k, sample in ((4, 3, None), (3, 5, None), (6, 2, None),
+                             (7, 2, None), (5, 3, None), (4, 4, None),
+                             (10, 2, 150), (8, 3, 150)):
             ctx = fusion_context(N, k)
             t = full_table(ctx)
             n = len(t.basis)
-            for a, p in enumerate(t.basis):
-                for b, q in enumerate(t.basis):
-                    row = {t.basis[c]: m for c, m in t.constants[a * n + b]}
-                    assert row == multiply(p, q, ctx), (N, k, p, q)
+            pairs = list(itertools.product(range(n), repeat=2))
+            if sample:
+                pairs = rng.sample(pairs, sample)
+            for a, b in pairs:
+                p, q = t.basis[a], t.basis[b]
+                row = {t.basis[c]: m for c, m in t.constants[a * n + b]}
+                assert row == multiply(p, q, ctx), (N, k, p, q)
+                # h_m s_lam' = s_lam + sum_nu s_nu: when both labels have a
+                # nu, the recursion subtracted a row whichever came second
+                if p and q and all(len(pieri_h(r[1:], r[0], ctx)) > 1 for r in (p, q)):
+                    subtracting += 1
+        assert subtracting >= 500, subtracting
+
+    def test_negative_row_raises(self, monkeypatch):
+        # a Pieri step that counts the strip (2) on (1) twice makes the
+        # recursion subtract row((2), (2)) twice from row((2), (1, 1))
+        real = fusion.pieri_h
+
+        def wrong(p, m, ctx):
+            out = real(p, m, ctx)
+            if (p, m) == ((1,), 1):
+                out[(2,)] += 1
+            return out
+
+        monkeypatch.setattr(fusion, "pieri_h", wrong)
+        with pytest.raises(ArithmeticError, match=r"negative multiplicities "
+                           r"\{\(2, 2\): -1\} in product \(2,\) \* \(1, 1\)"):
+            full_table(fusion_context(3, 2))
 
     def test_json_round_trip(self):
         t = full_table(fusion_context(3, 2))
