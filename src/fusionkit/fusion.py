@@ -49,30 +49,31 @@ def basis(ctx) -> list:
 
 
 def pieri_h(p, m: int, ctx) -> dict:
-    """Multiply by h_m: sum over nu in the N x k box with nu/p an m-row strip."""
+    """Multiply by h_m: sum over nu in the N x k box with nu/p an m-row strip.
+
+    Each pass adds a row to every partial nu, so the nu come in lexicographic
+    order; the last row takes the boxes left.
+    """
     N, k = ctx
     p = _check_basis_element(p, ctx)
     if not 0 <= m <= k:
         raise ValueError(f"m = {m} out of range 0..{k}")
     pp = padded(p, N)
+    level = [((), m)]  # (rows of nu so far, boxes left)
+    for i in range(N - 1):
+        top = pp[i - 1] if i else k  # at most one new box per column
+        level = [
+            (acc + (x,), rest - (x - pp[i]))
+            for acc, rest in level
+            for x in range(pp[i], min(top, pp[i] + rest) + 1)
+        ]
     out: dict = {}
-
-    def rec(i, prev, rest, acc):
-        if i == N:
-            # rest is 0 and acc weakly decreasing, non-negative: strip full columns
-            c = acc[-1]
+    for acc, rest in level:
+        c = pp[N - 1] + rest
+        if c <= pp[N - 2]:
+            # nu is weakly decreasing, non-negative: strip its c full columns
             key = tuple(x - c for x in acc if x > c)
             out[key] = out.get(key, 0) + 1
-            return
-        hi = min(prev, pp[i] + rest)
-        if i > 0:
-            hi = min(hi, pp[i - 1])  # at most one new box per column
-        # only x = pp[N-1] + rest can leave rest = 0 after the last row
-        lo = pp[i] + rest if i == N - 1 else pp[i]
-        for x in range(lo, hi + 1):
-            rec(i + 1, x, rest - (x - pp[i]), acc + (x,))
-
-    rec(0, k, m, ())
     return out
 
 
@@ -108,7 +109,7 @@ def multiply(p, q, ctx) -> dict:
     p, q = _check_basis_element(p, ctx), _check_basis_element(q, ctx)
     if len(p) < len(q):
         p, q = q, p
-    acc = det_expand({p: 1}, q, lambda r, m: pieri_h(r, m, ctx), 0, ctx[1])
+    acc = det_expand({p: 1}, q, lambda r, m: pieri_h(r, m, ctx), ctx[1])
     bad = {r: mult for r, mult in acc.items() if mult < 0}
     if bad:
         raise _negative(bad, p, q, ctx)

@@ -54,20 +54,21 @@ def _check_orbits(ctx, *orbits) -> tuple:
     return orbits
 
 
-def _bounded_compositions(total, bounds):
-    """Vectors c with sum(c) = total and 0 <= c_i <= bounds[i]."""
+def _bounded_compositions(total, bounds) -> list:
+    """Vectors c with sum(c) = total and 0 <= c_i <= bounds[i], in lex order.
 
-    def rec(i, rest, prefix):
-        if i == len(bounds):
-            if rest == 0:
-                yield tuple(prefix)
-            return
-        tail = sum(bounds[i + 1 :])
-        lo = max(0, rest - tail)
-        for c in range(lo, min(bounds[i], rest) + 1):
-            yield from rec(i + 1, rest - c, prefix + [c])
-
-    yield from rec(0, total, [])
+    One entry per pass; no entry leaves more than the later bounds can take.
+    """
+    tail = sum(bounds)
+    level = [((), total)] if 0 <= total <= tail else []
+    for bound in bounds:
+        tail -= bound
+        level = [
+            (prefix + (c,), rest - c)
+            for prefix, rest in level
+            for c in range(max(0, rest - tail), min(bound, rest) + 1)
+        ]
+    return [prefix for prefix, _ in level]
 
 
 def raw_orbit_product(a, b, ctx) -> dict:
@@ -77,31 +78,28 @@ def raw_orbit_product(a, b, ctx) -> dict:
     one per residue occurring in a_hat.  Two elements y, y' of [b] give
     redundant equations exactly when the stabilizer of a_hat maps one to the
     other, i.e. when the multiset of y-values inside each block agrees with
-    that of y'.  So instead of walking all of [b], enumerate the ways of
-    splitting the residue multiset of b across the blocks.
+    that of y'.  So instead of walking all of [b], split the residue
+    multiset of b across the blocks, one block per pass.
     """
     N, k = ctx
     a, b = _check_orbits(ctx, a, b)
     a_counts = orbit_multiplicities(a, N)
     blocks = [(v, a_counts[v]) for v in range(N - 1, -1, -1) if a_counts[v]]
     b_counts = orbit_multiplicities(b, N)
+    level = [(b_counts, [0] * N)]  # (residues of b left, counts of z so far)
+    for value, block_size in blocks:
+        level = [
+            (
+                tuple(r - c for r, c in zip(remaining, split)),
+                [z + split[(j - value) % N] for j, z in enumerate(z_counts)],
+            )
+            for remaining, z_counts in level
+            for split in _bounded_compositions(block_size, remaining)
+        ]
     result: dict = {}
-
-    def rec(i, remaining, z_counts):
-        if i == len(blocks):
-            rep = rep_from_multiplicities(z_counts)
-            result[rep] = result.get(rep, 0) + 1
-            return
-        value, block_size = blocks[i]
-        for assignment in _bounded_compositions(block_size, remaining):
-            new_remaining = tuple(r - c for r, c in zip(remaining, assignment))
-            new_z = list(z_counts)
-            for r, c in enumerate(assignment):
-                if c:
-                    new_z[(value + r) % N] += c
-            rec(i + 1, new_remaining, new_z)
-
-    rec(0, b_counts, [0] * N)
+    for _, z_counts in level:
+        rep = rep_from_multiplicities(z_counts)
+        result[rep] = result.get(rep, 0) + 1
     return result
 
 
@@ -185,7 +183,6 @@ def fixed_product(a, b, ctx) -> dict:
         {simple_current_shift(a, t, ctx): 1},
         orbit_to_partition(simple_current_shift(b, -t % N, ctx)),
         lambda rep, m: special_orbit_product(rep, m, ctx),
-        0,
         k,
     )
     bad = {rep: mult for rep, mult in acc.items() if mult < 0}

@@ -135,16 +135,15 @@ def level_k_weights(N: int, k: int) -> list:
 
 
 def partitions_in_box(rows: int, cols: int) -> Iterator[tuple]:
-    """All partitions with at most `rows` parts, each at most `cols`."""
+    """All partitions with at most `rows` parts, each at most `cols`.
 
-    def rec(prefix, bound, slots):
-        yield prefix
-        if slots == 0:
-            return
-        for x in range(bound, 0, -1):
-            yield from rec(prefix + (x,), x, slots - 1)
-
-    yield from rec((), cols, rows)
+    They come by length, and within a length lexicographically descending.
+    """
+    level = [()]
+    for _ in range(rows):
+        yield from level
+        level = [p + (x,) for p in level for x in range(p[-1] if p else cols, 0, -1)]
+    yield from level
 
 
 def iter_distinct_permutations(t) -> Iterator[tuple]:
@@ -208,11 +207,11 @@ def repeat_free_permutations(t, shift) -> list:
 # -- determinant expansion ---------------------------------------------------
 
 
-def det_expand(start: dict, q, step, lo: int, hi: int) -> dict:
+def det_expand(start: dict, q, step, hi: int) -> dict:
     """Apply det[step(., q_i - i + j)] (0-based i, j) to the signed dict start.
 
     The entries must commute as operators; step(r, m) maps a label to a
-    {label: multiplicity} dict, and an index m outside lo..hi is a zero
+    {label: multiplicity} dict, and an index m outside 0..hi is a zero
     entry.  The determinant is expanded row by row, keeping one signed dict
     per set of used columns (a bitmask): placing row i in a free column j
     contributes the sign (-1)^(used columns > j).  That is 2^L * L steps
@@ -230,7 +229,7 @@ def det_expand(start: dict, q, step, lo: int, hi: int) -> dict:
                     sign = -sign
                     continue
                 m = q[i] - i + j
-                if not lo <= m <= hi:
+                if not 0 <= m <= hi:
                     continue
                 target = nxt.setdefault(used | bit, {})
                 for r, mult in cur.items():
@@ -324,23 +323,21 @@ def count_cylindric_tableaux(outer, inner, content, ctx) -> int:
     return fill(0)
 
 
-def _strips_removed(lam, m: int):
-    """Partitions mu inside lam with lam/mu a horizontal strip of m boxes."""
-    n = len(lam)
+def _strips_removed(lam, m: int) -> list:
+    """Partitions mu inside lam with lam/mu a horizontal strip of m boxes.
 
-    def rec(i, rest, prefix):
-        if i == n:
-            if rest == 0:
-                yield normalize(prefix)
-            return
-        # rows i.. can give up at most lam_i boxes in one horizontal strip
-        if rest > lam[i]:
-            return
-        floor = lam[i + 1] if i + 1 < n else 0
-        for take in range(min(rest, lam[i] - floor) + 1):
-            yield from rec(i + 1, rest - take, prefix + (lam[i] - take,))
-
-    yield from rec(0, m, ())
+    One row per pass; the list is lexicographically descending.
+    """
+    level = [((), m)]
+    for x, floor in zip(lam, lam[1:] + (0,)):
+        # this row and the rows below give up at most x boxes in one strip
+        level = [
+            (prefix + (x - take,), rest - take)
+            for prefix, rest in level
+            if rest <= x
+            for take in range(min(rest, x - floor) + 1)
+        ]
+    return [normalize(prefix) for prefix, rest in level if rest == 0]
 
 
 def dominant_kostka(shape, max_entry: int) -> dict:
@@ -352,11 +349,15 @@ def dominant_kostka(shape, max_entry: int) -> dict:
     each count comes from the branching rule: the boxes holding the largest
     entry n form a horizontal strip of nu_n boxes, so K_{lam,nu} sums
     K_{mu,(nu_1..nu_{n-1})} over the partitions mu with lam/mu such a strip.
-    The branching memo lives only for the call.
+    The branching memo lives only for the call.  The nu are built one part
+    per pass, and a finished nu keeps its place, so the keys come out in
+    lexicographically descending order.
     """
     shape = normalize(shape)
     total = sum(shape)
-    bounds = [sum(shape[: i + 1]) for i in range(len(shape))]
+    # nu <= shape in dominance: nu_1 + ... + nu_i <= shape_1 + ... + shape_i;
+    # nu has at most |shape| parts, as each is at least 1
+    bounds = [sum(shape[: i + 1]) for i in range(min(max_entry, total))]
     memo: dict = {}
 
     def kostka(lam, nu):
@@ -371,21 +372,21 @@ def dominant_kostka(shape, max_entry: int) -> dict:
             )
         return memo[key]
 
-    def dominated(prefix, rest, largest):
-        """Partitions nu of the remaining boxes with nu <= shape in dominance."""
-        if rest == 0:
-            yield prefix
-            return
-        i = len(prefix)
-        if i == max_entry:
-            return
-        cap = bounds[i] - (total - rest) if i < len(bounds) else rest
-        for x in range(min(largest, rest, cap), 0, -1):
-            yield from dominated(prefix + (x,), rest - x, x)
+    level = [((), total)]  # (nu so far, boxes left)
+    for bound in bounds:
+        nxt = []
+        for nu, rest in level:
+            if rest:
+                cap = bound - (total - rest)
+                top = min(nu[-1], cap) if nu else cap
+                nxt.extend((nu + (x,), rest - x) for x in range(top, 0, -1))
+            else:
+                nxt.append((nu, rest))
+        level = nxt
 
     counts: dict = {}
-    for nu in dominated((), total, total):
-        count = kostka(shape, nu)
+    for nu, rest in level:
+        count = kostka(shape, nu) if rest == 0 else 0
         if count:
             counts[padded(nu, max_entry)] = count
     return counts

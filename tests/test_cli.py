@@ -132,6 +132,15 @@ class TestFuse:
                     assert code == 0
                     assert out.strip().endswith("AGREE")
 
+    @pytest.mark.parametrize("method", ["jacobi-trudi", "orbit"])
+    def test_determinant_routes_answer_deep_context(self, run, method):
+        # 1,100 rows: deeper than Python's recursion limit
+        code, out, err = run(
+            "fuse", "--N", "1100", "--k", "1", "--lhs", "[1]", "--rhs", "[1]",
+            "--method", method,
+        )
+        assert (code, out, err) == (0, "1*[1,1]\n", "")
+
     def test_negative_multiplicity_exits_1(self, run, monkeypatch):
         from fusionkit import weyl
 
@@ -162,6 +171,10 @@ class TestTensor:
         assert out1 == out2
         assert "2*[2,1]" in out1
 
+    def test_deep_rank(self, run):
+        code, out, _ = run("tensor", "--N", "1100", "--lhs", "[1]", "--rhs", "[1]")
+        assert (code, out) == (0, "1*[1,1] + 1*[2]\n")
+
 
 class TestOrbitProduct:
     def test_raw_includes_multiplicity_three(self, run):
@@ -183,6 +196,13 @@ class TestOrbitProduct:
         )
         assert code == 0
         assert "2*(2,1,0)" in out
+
+    def test_fixed_at_deep_rank(self, run):
+        code, out, _ = run(
+            "orbit-product", "--N", "1100", "--k", "1", "--a", "(1)", "--b", "(1)",
+            "--fixed",
+        )
+        assert (code, out) == (0, "1*(2)\n")
 
     def test_wrong_length(self, run):
         code, _, err = run(

@@ -192,6 +192,11 @@ class TestPieriH:
                 for m in range(k + 1):
                     assert pieri_h(p, m, ctx) == _pieri_h_oracle(p, m, ctx), (N, k, p, m)
 
+    def test_deep_context(self):
+        ctx = fusion_context(1500, 1)
+        assert pieri_h((1,), 1, ctx) == {(1, 1): 1}
+        assert pieri_h((1,) * 1499, 1, ctx) == {(): 1}
+
     def test_rejects_m_above_k(self):
         with pytest.raises(ValueError):
             pieri_h((1,), 4, CTX33)

@@ -153,6 +153,36 @@ class TestRawProduct:
                         assert got == raw_orbit_product(b, a, ctx)
                         assert got == brute_raw_product(a, b, ctx)
 
+    def test_deep_rank(self):
+        assert raw_orbit_product((0,), (1,), fusion_context(1500, 1)) == {(1,): 1}
+
+
+class TestBoundedCompositions:
+    def test_lex_ordered_filter_of_product(self):
+        rng = random.Random(16)
+        cases = [((), 0), ((), 1), ((2, 0, 3), 5), ((2, 0, 3), 6)]
+        for _ in range(300):
+            bounds = tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 5)))
+            cases.append((bounds, rng.randint(0, sum(bounds) + 2)))
+        for bounds, total in cases:
+            expected = [
+                c
+                for c in itertools.product(*(range(b + 1) for b in bounds))
+                if sum(c) == total
+            ]
+            assert orbits._bounded_compositions(total, bounds) == expected, (
+                total,
+                bounds,
+            )
+
+    def test_deep_bounds(self):
+        bounds = [1] + [0] * 1498 + [1]
+        assert orbits._bounded_compositions(2, bounds) == [tuple(bounds)]
+        assert orbits._bounded_compositions(1, bounds) == [
+            (0,) * 1499 + (1,),
+            (1,) + (0,) * 1499,
+        ]
+
 
 class TestBruteforceCoefficient:
     def test_multiplicity_three(self):
@@ -317,9 +347,9 @@ class TestFixedProduct:
         # of either factor gives
         calls = []
 
-        def recording(start, q, step, lo, hi):
+        def recording(start, q, step, hi):
             calls.append(len(q))
-            return det_expand(start, q, step, lo, hi)
+            return det_expand(start, q, step, hi)
 
         monkeypatch.setattr(orbits, "det_expand", recording)
         for N, k in ((10, 2), (4, 3)):

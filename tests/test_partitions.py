@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from fusionkit.fusion import basis, pieri_h
 from fusionkit.orbits import special_orbit_product
 from fusionkit.partitions import (
+    _strips_removed,
     conjugate,
     count_cylindric_tableaux,
     det_expand,
@@ -44,6 +45,22 @@ def partition_strategy(draw, max_n=12):
 
 def all_partitions_in_box(rows, cols):
     return list(partitions_in_box(rows, cols))
+
+
+class TestPartitionsInBox:
+    def test_each_partition_once_by_length(self):
+        for rows, cols in ((0, 3), (3, 0), (1, 4), (4, 1), (3, 3), (4, 5), (6, 6)):
+            got = list(partitions_in_box(rows, cols))
+            assert len(got) == len(set(got)) == comb(rows + cols, rows)
+            assert set(got) == {
+                normalize(sorted(c, reverse=True))
+                for c in itertools.product(range(cols + 1), repeat=rows)
+            }
+            assert got == sorted(got, key=lambda p: (len(p), [-x for x in p]))
+
+    def test_deep_box(self):
+        got = list(partitions_in_box(1500, 1))
+        assert got == [(1,) * n for n in range(1501)]
 
 
 class TestNormalize:
@@ -324,6 +341,10 @@ class TestTableauContents:
                     for content in iter_distinct_permutations(nu)
                 }
                 assert expanded == tableau_contents(shape, N), (N, shape)
+                assert list(kostka) == sorted(kostka, reverse=True), (N, shape)
+
+    def test_strips_removed_from_a_deep_column(self):
+        assert _strips_removed((1,) * 1500, 1) == [(1,) * 1499]
 
 
 class TestRepeatFreePermutations:
@@ -355,13 +376,13 @@ class TestRepeatFreePermutations:
         assert repeat_free_permutations((0, 0), (1, 0)) == [(0, 0)]
 
 
-def _leibniz(start, q, step, lo, hi):
+def _leibniz(start, q, step, hi):
     """Reference: sum over permutations of sign(sigma) times the step chain."""
     L = len(q)
     acc = {}
     for sigma in itertools.permutations(range(L)):
         idx = [q[i] - i + sigma[i] for i in range(L)]
-        if any(not lo <= m <= hi for m in idx):
+        if any(not 0 <= m <= hi for m in idx):
             continue
         inversions = sum(
             1 for i in range(L) for j in range(i + 1, L) if sigma[i] > sigma[j]
@@ -410,8 +431,8 @@ class TestDetExpand:
 
             for q in base:
                 for start in starts:
-                    expected = _leibniz(start, q, step, 0, k)
-                    assert det_expand(start, q, step, 0, k) == expected, (N, k, q)
+                    expected = _leibniz(start, q, step, k)
+                    assert det_expand(start, q, step, k) == expected, (N, k, q)
 
     def test_orbit_step_matches_leibniz(self):
         ctx = fusion_context(4, 3)
@@ -423,8 +444,8 @@ class TestDetExpand:
 
         for q in basis(ctx):
             for start in starts:
-                assert det_expand(start, q, step, 0, 3) == _leibniz(
-                    start, q, step, 0, 3
+                assert det_expand(start, q, step, 3) == _leibniz(
+                    start, q, step, 3
                 ), q
 
     def test_scalar_step_is_the_numeric_determinant(self):
@@ -434,16 +455,16 @@ class TestDetExpand:
         def step(x, m):
             return {x: c[m]}
 
-        # (0, 2) kills every entry of a row with q_i - i >= 3, e.g. q = (4,)
-        for lo, hi in ((0, 4), (0, 2), (1, 3), (-4, 9)):
+        # hi = 2 kills every entry of a row with q_i - i >= 3, e.g. q = (4,)
+        for hi in (4, 2):
             for q in partitions_in_box(5, 4):
                 L = len(q)
                 rows = [
-                    [c[q[i] - i + j] if lo <= q[i] - i + j <= hi else 0
+                    [c[q[i] - i + j] if 0 <= q[i] - i + j <= hi else 0
                      for j in range(L)]
                     for i in range(L)
                 ]
                 det = _numeric_det(rows)
-                got = det_expand({"x": 1}, q, step, lo, hi)
-                assert got == ({"x": det} if det else {}), (lo, hi, q)
-                assert got == _leibniz({"x": 1}, q, step, lo, hi)
+                got = det_expand({"x": 1}, q, step, hi)
+                assert got == ({"x": det} if det else {}), (hi, q)
+                assert got == _leibniz({"x": 1}, q, step, hi)
