@@ -172,36 +172,23 @@ def iter_distinct_permutations(t) -> Iterator[tuple]:
 def repeat_free_permutations(t, shift) -> list:
     """The distinct permutations c of t with c + shift repeat-free.
 
-    c + shift is the entrywise sum; shift has the length of t.  The list is
-    in lexicographic order, without repeats.  Positions are placed left to
-    right, each trying the distinct values in increasing order, and a value
-    whose shifted entry is already used at an earlier position is skipped,
-    so no permutation with a repeat is built.
+    c + shift is the entrywise sum; shift has the length of t, and the
+    entries of both must be non-negative.  The list is in lexicographic
+    order, without repeats.  One position is placed per pass in every
+    partial c, trying the values left in increasing order, each distinct
+    value once; a value whose shifted entry is already used (a bitmask of
+    the shifted entries) is skipped, so no permutation with a repeat is
+    built.
     """
-    values = sorted(set(t))
-    left = [t.count(v) for v in values]
-    n = len(t)
-    used: set = set()
-    c: list = []
-    out: list = []
-
-    def place(i):
-        if i == n:
-            out.append(tuple(c))
-            return
-        s = shift[i]
-        for j, v in enumerate(values):
-            if left[j] and v + s not in used:
-                left[j] -= 1
-                used.add(v + s)
-                c.append(v)
-                place(i + 1)
-                c.pop()
-                used.remove(v + s)
-                left[j] += 1
-
-    place(0)
-    return out
+    level = [((), tuple(sorted(t)), 0)]  # (c so far, values left, used)
+    for s in shift:
+        level = [
+            (c + (v,), left[:j] + left[j + 1 :], used | 1 << (v + s))
+            for c, left, used in level
+            for j, v in enumerate(left)
+            if (not j or v != left[j - 1]) and not used >> (v + s) & 1
+        ]
+    return [c for c, _, _ in level]
 
 
 # -- determinant expansion ---------------------------------------------------

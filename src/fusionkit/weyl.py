@@ -149,6 +149,7 @@ def module_dimension(lam, N: int) -> int:
     num = den = 1
     for i in range(N):
         for j in range(i + 1, N):
-            num *= p[i] - p[j] + j - i
-            den *= j - i
+            if p[i] != p[j]:  # otherwise the factor is 1
+                num *= p[i] - p[j] + j - i
+                den *= j - i
     return num // den

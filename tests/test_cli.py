@@ -132,14 +132,22 @@ class TestFuse:
                     assert code == 0
                     assert out.strip().endswith("AGREE")
 
-    @pytest.mark.parametrize("method", ["jacobi-trudi", "orbit"])
-    def test_determinant_routes_answer_deep_context(self, run, method):
+    @pytest.mark.parametrize("method", ["jacobi-trudi", "orbit", "kac-walton"])
+    def test_every_route_answers_deep_context(self, run, method):
         # 1,100 rows: deeper than Python's recursion limit
         code, out, err = run(
             "fuse", "--N", "1100", "--k", "1", "--lhs", "[1]", "--rhs", "[1]",
             "--method", method,
         )
         assert (code, out, err) == (0, "1*[1,1]\n", "")
+
+    def test_method_all_agrees_at_deep_context(self, run):
+        code, out, err = run(
+            "fuse", "--N", "1100", "--k", "1", "--lhs", "[1]", "--rhs", "[1]",
+            "--method", "all",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "AGREE"
 
     def test_negative_multiplicity_exits_1(self, run, monkeypatch):
         from fusionkit import weyl
@@ -172,8 +180,12 @@ class TestTensor:
         assert "2*[2,1]" in out1
 
     def test_deep_rank(self, run):
-        code, out, _ = run("tensor", "--N", "1100", "--lhs", "[1]", "--rhs", "[1]")
-        assert (code, out) == (0, "1*[1,1] + 1*[2]\n")
+        for method in ("pieri", "racah-speiser"):
+            code, out, _ = run(
+                "tensor", "--N", "1100", "--lhs", "[1]", "--rhs", "[1]",
+                "--method", method,
+            )
+            assert (code, out) == (0, "1*[1,1] + 1*[2]\n"), method
 
 
 class TestOrbitProduct:

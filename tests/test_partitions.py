@@ -375,6 +375,17 @@ class TestRepeatFreePermutations:
         assert repeat_free_permutations((1, 1, 0), (0, 0, 0)) == []
         assert repeat_free_permutations((0, 0), (1, 0)) == [(0, 0)]
 
+    def test_deep_positions(self):
+        # 1,500 positions: deeper than Python's recursion limit.  With the
+        # shift mu + rho of mu = (1), the 1 may only sit in one of the first
+        # two positions; anywhere else it meets the entry of the row above.
+        n = 1500
+        shift = tuple(m + n - 1 - j for j, m in enumerate(padded((1,), n)))
+        assert repeat_free_permutations(padded((1,), n), shift) == [
+            (0, 1) + (0,) * (n - 2),
+            (1,) + (0,) * (n - 1),
+        ]
+
 
 def _leibniz(start, q, step, hi):
     """Reference: sum over permutations of sign(sigma) times the step chain."""

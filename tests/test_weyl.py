@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -105,6 +106,19 @@ class TestWeightMultiplicities:
         assert module_dimension((1, 1), 3) == 8
         assert module_dimension((1, 0, 0), 4) == 4
         assert module_dimension((1, 0, 1), 4) == 15
+
+    def test_dimensions_at_deep_rank(self):
+        # only the factors with p_i != p_j are multiplied
+        N = 1100
+        assert module_dimension((1,) + (0,) * (N - 2), N) == N
+        assert module_dimension((0, 1) + (0,) * (N - 3), N) == comb(N, 2)
+
+    def test_dimension_counts_tableaux(self):
+        N = 7
+        for shape in partitions_in_box(N, 3):
+            assert module_dimension(partition_to_weight(shape, N), N) == sum(
+                tableau_contents(shape, N).values()
+            ), shape
 
 
 class TestRacahSpeiser:
