@@ -233,19 +233,6 @@ def det_expand(start: dict, q, step, hi: int) -> dict:
 # -- tableaux ----------------------------------------------------------------
 
 
-def _skew_grid(outer, inner):
-    """Row spans [(start, stop), ...] of the skew cells, absolute 0-based columns.
-
-    inner must be contained in outer, the empty outer included; it is
-    padded to the length of outer only after that check.
-    """
-    outer, inner = normalize(outer), normalize(inner)
-    if not contains(outer, inner):
-        raise ValueError(f"{inner} not contained in {outer}")
-    inner = padded(inner, len(outer))
-    return [(inner[r], outer[r]) for r in range(len(outer))]
-
-
 def count_cylindric_tableaux(outer, inner, content, ctx) -> int:
     """Fusion skew Kostka number K^{(N,k)} of the shape and content.
 
@@ -253,61 +240,45 @@ def count_cylindric_tableaux(outer, inner, content, ctx) -> int:
     (rows weakly increasing, columns strictly increasing) where
     additionally, for each column p <= nu_N, the entry in row N column p is
     strictly less than the entry in row 1 column k+p (vacuous when either
-    cell is not a cell of the skew shape).  The cells are filled row by row,
-    left to right, and counted in place: no tableau is stored.  The
-    cylindric condition is a bound on whichever of its two cells is filled
-    later, an upper bound on row N column p or a lower bound on row 1
-    column k+p.  Once k reaches the width of outer, row 1 has no column
-    k+p, so the count is the plain skew Kostka number.
+    cell is not a cell of the skew shape).  No tableau is filled: the cells
+    holding the largest value form a horizontal strip, so outer is peeled
+    one value per pass, largest first, keeping {shape: count}.  A strip
+    lam/mu of value v breaks the cylindric condition iff some column p with
+    both wrap cells skew has row N column p outside mu (an entry >= v) and
+    row 1 column k+p inside lam (an entry <= v); such p run over (lo, hi],
+    so the test is one comparison per strip.  Once k reaches the width of
+    outer, row 1 has no column k+p, so the count is the plain skew Kostka
+    number.
     """
     N, k = ctx
     outer = normalize(outer)
     if len(outer) > N:
         raise ValueError(f"outer partition {outer} has more than {N} rows")
-    spans = _skew_grid(outer, inner)
+    inner = normalize(inner)
+    if not contains(outer, inner):
+        raise ValueError(f"{inner} not contained in {outer}")
     content = tuple(int(x) for x in content)
     if any(x < 0 for x in content):
         raise ValueError(f"content entries must be >= 0: {content}")
-    total = sum(stop - start for start, stop in spans)
+    total = sum(outer) - sum(inner)
     if total != sum(content):
         raise ValueError(
             f"shape {outer}/{inner} has {total} boxes but content {content} "
             f"has {sum(content)}"
         )
-    cells = [(r, c) for r, (start, stop) in enumerate(spans) for c in range(start, stop)]
-    index = {cell: i for i, cell in enumerate(cells)}
-    # lows[i]: (j, d) with value_i >= value_j + d; highs[i]: j with value_i < value_j
-    lows = [
-        [(index[a], d) for a, d in (((r, c - 1), 0), ((r - 1, c), 1)) if a in index]
-        for r, c in cells
-    ]
-    highs = [None] * len(cells)
-    for p in range(1, padded(outer, N)[N - 1] + 1):
-        top, bottom = index.get((N - 1, p - 1)), index.get((0, k + p - 1))
-        if top is None or bottom is None:
-            continue
-        if top > bottom:
-            highs[top] = bottom
-        else:
-            lows[bottom].append((top, 1))
-    values = [0] * len(cells)
-    remaining = list(content)
-
-    def fill(i):
-        if i == len(cells):
-            return 1
-        lo = max((values[j] + d for j, d in lows[i]), default=1)
-        hi = len(remaining) if highs[i] is None else values[highs[i]] - 1
-        count = 0
-        for v in range(lo, hi + 1):
-            if remaining[v - 1]:
-                remaining[v - 1] -= 1
-                values[i] = v
-                count += fill(i + 1)
-                remaining[v - 1] += 1
-        return count
-
-    return fill(0)
+    # the columns p in (lo, hi] are those whose two wrap cells are both skew
+    lo = max(padded(inner, N)[N - 1], (inner[0] if inner else 0) - k)
+    hi = padded(outer, N)[N - 1]
+    level = {outer: 1}
+    for m in reversed(content):
+        nxt: dict = {}
+        for lam, count in level.items():
+            top = min((lam[0] if lam else 0) - k, hi)
+            for mu in _strips_removed(lam, m):
+                if top <= max(mu[N - 1] if len(mu) == N else 0, lo):
+                    nxt[mu] = nxt.get(mu, 0) + count
+        level = nxt
+    return level.get(inner, 0)
 
 
 def _strips_removed(lam, m: int) -> list:

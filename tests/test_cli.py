@@ -268,7 +268,8 @@ class TestKostka:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "not contained" in err
 
-    def test_too_deep_recursion_exits_1_without_traceback(self, run):
+    def test_1200_cells_answer(self, run):
+        # one horizontal strip per value: the depth does not grow with the cells
         code, out, err = run(
             "kostka",
             "--N", "3", "--k", "5",
@@ -276,9 +277,7 @@ class TestKostka:
             "--inner", "[]",
             "--content", "[600,600]",
         )
-        assert (code, out) == (1, "")
-        assert err.startswith("error:")
-        assert "Traceback" not in err
+        assert (code, out, err) == (0, "1\n", "")
 
 
 class TestWeights:
@@ -307,6 +306,16 @@ class TestWeights:
         )
         assert code == 0
         assert sum(t["mult"] for t in json.loads(out)["terms"]) == 231
+
+    def test_too_deep_recursion_exits_1_without_traceback(self, run):
+        # a 1,099-row column: dominant_kostka's memoised walk recurses once per
+        # part of the content, deeper than Python allows
+        code, out, err = run(
+            "weights", "--N", "1100", "--lambda", "{" + "0," * 1098 + "1}"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: maximum recursion depth exceeded")
+        assert "Traceback" not in err
 
 
 class TestTableCache:

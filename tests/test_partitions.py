@@ -2,7 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -295,6 +295,32 @@ class TestCylindricTableaux:
             )
         assert min(binding, free, inner_partner) >= 20, (binding, free, inner_partner)
 
+    def test_standard_tableaux_against_hook_length_formula(self):
+        # all-ones content at k >= the width: standard Young tableaux
+        for shape in partitions_in_box(5, 5):
+            n = sum(shape)
+            hooks = 1
+            for i, row in enumerate(shape):
+                for j in range(row):
+                    hooks *= row - j + sum(1 for x in shape[i + 1 :] if x > j)
+            for k in {max(shape, default=1), 5}:
+                assert count_cylindric_tableaux(
+                    shape, (), (1,) * n, (5, k)
+                ) == factorial(n) // hooks, (shape, k)
+
+    def test_three_row_rectangles_against_closed_form(self):
+        # f^(n,n,n) = 2 (3n)! / (n! (n+1)! (n+2)!); n = 8 gives 23,371,634
+        for n in range(1, 9):
+            expected = (
+                2 * factorial(3 * n)
+                // (factorial(n) * factorial(n + 1) * factorial(n + 2))
+            )
+            for N in (3, 4):
+                assert count_cylindric_tableaux(
+                    (n, n, n), (), (1,) * (3 * n), (N, n)
+                ) == expected, (n, N)
+        assert expected == 23371634
+
 
 class TestTableauContents:
     def test_adjoint_of_sl3(self):
@@ -342,6 +368,29 @@ class TestTableauContents:
                 }
                 assert expanded == tableau_contents(shape, N), (N, shape)
                 assert list(kostka) == sorted(kostka, reverse=True), (N, shape)
+
+    def test_strips_removed_against_filtered_subshapes(self):
+        # mu inside lam with mu_i >= lam_{i+1} and |lam| - |mu| = m
+        box = list(partitions_in_box(4, 4))
+        cases = 0
+        for lam in box:
+            wide = padded(lam, 5)
+            for m in range(sum(lam) + 1):
+                expected = sorted(
+                    (
+                        mu
+                        for mu in box
+                        if sum(lam) - sum(mu) == m
+                        and all(
+                            wide[i] >= x >= wide[i + 1]
+                            for i, x in enumerate(padded(mu, 4))
+                        )
+                    ),
+                    reverse=True,
+                )
+                assert _strips_removed(lam, m) == expected, (lam, m)
+                cases += 1
+        assert cases == 630
 
     def test_strips_removed_from_a_deep_column(self):
         assert _strips_removed((1,) * 1500, 1) == [(1,) * 1499]
