@@ -424,8 +424,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, RecursionError) as exc:
-        # an internal invariant failed (a negative multiplicity), or a shape with
-        # many cells or a content with many parts recursed deeper than Python allows
+        # an internal invariant failed (a negative multiplicity), or a content
+        # with many parts recursed deeper than Python allows
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

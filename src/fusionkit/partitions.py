@@ -17,6 +17,7 @@ or by column heights (orbit).
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator, NamedTuple
 
 
@@ -169,28 +170,6 @@ def iter_distinct_permutations(t) -> Iterator[tuple]:
         a[i + 1 :] = reversed(a[i + 1 :])
 
 
-def repeat_free_permutations(t, shift) -> list:
-    """The distinct permutations c of t with c + shift repeat-free.
-
-    c + shift is the entrywise sum; shift has the length of t, and the
-    entries of both must be non-negative.  The list is in lexicographic
-    order, without repeats.  One position is placed per pass in every
-    partial c, trying the values left in increasing order, each distinct
-    value once; a value whose shifted entry is already used (a bitmask of
-    the shifted entries) is skipped, so no permutation with a repeat is
-    built.
-    """
-    level = [((), tuple(sorted(t)), 0)]  # (c so far, values left, used)
-    for s in shift:
-        level = [
-            (c + (v,), left[:j] + left[j + 1 :], used | 1 << (v + s))
-            for c, left, used in level
-            for j, v in enumerate(left)
-            if (not j or v != left[j - 1]) and not used >> (v + s) & 1
-        ]
-    return [c for c, _, _ in level]
-
-
 # -- determinant expansion ---------------------------------------------------
 
 
@@ -281,21 +260,21 @@ def count_cylindric_tableaux(outer, inner, content, ctx) -> int:
     return level.get(inner, 0)
 
 
-def _strips_removed(lam, m: int) -> list:
-    """Partitions mu inside lam with lam/mu a horizontal strip of m boxes.
+def horizontal_strips(lam) -> list:
+    """Every (mu, |lam/mu|) with lam/mu a horizontal strip, in one pass.
 
-    One row per pass; the list is lexicographically descending.
+    lam/mu is a horizontal strip iff lam_{i+1} <= mu_i <= lam_i for every
+    row i, each row chosen on its own; the mu come out lexicographically
+    descending.
     """
-    level = [((), m)]
-    for x, floor in zip(lam, lam[1:] + (0,)):
-        # this row and the rows below give up at most x boxes in one strip
-        level = [
-            (prefix + (x - take,), rest - take)
-            for prefix, rest in level
-            if rest <= x
-            for take in range(min(rest, x - floor) + 1)
-        ]
-    return [normalize(prefix) for prefix, rest in level if rest == 0]
+    total = sum(lam)
+    rows = product(*(range(x, y - 1, -1) for x, y in zip(lam, lam[1:] + (0,))))
+    return [(mu[:-1] if mu and not mu[-1] else mu, total - sum(mu)) for mu in rows]
+
+
+def _strips_removed(lam, m: int) -> list:
+    """The mu of horizontal_strips(lam) with |lam/mu| = m, in its order."""
+    return [mu for mu, size in horizontal_strips(lam) if size == m]
 
 
 def dominant_kostka(shape, max_entry: int) -> dict:
@@ -360,9 +339,7 @@ def tableau_contents(shape, max_entry: int) -> dict:
     No tableau is filled.  The count for a content is the Kostka number
     K_{shape,nu} of its decreasing rearrangement nu, since weight
     multiplicities are invariant under permuting the entries: each
-    dominant_kostka entry is expanded over its distinct permutations.  The
-    Kac-Walton and Racah-Speiser walks in ``weyl`` do not expand every
-    permutation; they take dominant_kostka with repeat_free_permutations.
+    dominant_kostka entry is expanded over its distinct permutations.
     """
     counts: dict = {}
     for nu, count in dominant_kostka(shape, max_entry).items():

@@ -3,13 +3,12 @@
 Both algorithms shift the tableau contents of one factor by the other
 factor's partition mu plus the staircase rho = (N-1, ..., 1, 0), the shift
 mu + rho, and push the resulting length-N sequences back into a fundamental
-region, accumulating an alternating sum.  The contents and their counts are
-weight multiplicities: the count of a content is the Kostka number
-K_{shape,nu} of its decreasing rearrangement nu
-(``partitions.dominant_kostka``); no tableau is filled.  A content c with a
-repeated entry in c + shift lies on a wall and adds nothing, so each nu is
-expanded only over the permutations that keep c + shift repeat-free
-(``partitions.repeat_free_permutations``), not over its whole S_N orbit.
+region, accumulating an alternating sum.  No content is built: one pass per
+position, entry N first, peels the horizontal strip of the largest entry
+off the shape (Gelfand-Tsetlin branching) and places its size plus the
+shift, keeping a signed count per (shape left, bitmask of the shifted
+entries placed).  A repeated entry lies on a wall and ends its state, and
+the sign of the sort is counted as each entry is placed.
 Both products are commutative, so the sum runs over the factor whose module
 has the smaller Weyl dimension.  At level k the region is the strictly
 decreasing sequences (finite Weyl group, i.e. sorting) whose spread is
@@ -31,37 +30,36 @@ no sequence lies on the affine wall.
 from __future__ import annotations
 
 from .partitions import (
-    dominant_kostka,
+    horizontal_strips,
     padded,
-    repeat_free_permutations,
     tableau_contents,
     weight_to_partition,
 )
 
 
-def _reflect_to_fundamental(seq, wall: int):
-    """Push seq into the region {sorted, spread < wall}; None if on a wall."""
+def _reflect_to_fundamental(used: int, wall: int):
+    """Push the bits of used, read descending, into spread < wall.
+
+    Returns (sign, bitmask), or None on a wall.  r0 moves the top entry a
+    to a - wall and the bottom b to b + wall, both inside (b, a); sorting
+    them back costs a sign per entry passed.
+    """
     sign = 1
-    s = tuple(seq)
     while True:
-        if len(set(s)) < len(s):
+        top = used.bit_length() - 1
+        bottom = (used & -used).bit_length() - 1
+        if top - bottom < wall:
+            return sign, used
+        if top - bottom == wall:
             return None
-        inv = sum(
-            1
-            for i in range(len(s))
-            for j in range(i + 1, len(s))
-            if s[i] < s[j]
-        )
-        if inv % 2:
+        down, up = top - wall, bottom + wall
+        rest = used ^ (1 << top | 1 << bottom)
+        if down == up or (rest >> down | rest >> up) & 1:
+            return None
+        passed = (rest >> up).bit_count() + (rest & (1 << down) - 1).bit_count()
+        if not (passed + (up < down)) % 2:  # r0 itself is odd
             sign = -sign
-        s = tuple(sorted(s, reverse=True))
-        spread = s[0] - s[-1]
-        if spread == wall:
-            return None
-        if spread < wall:
-            return sign, s
-        s = (s[-1] + wall,) + s[1:-1] + (s[0] - wall,)
-        sign = -sign
+        used = rest | 1 << down | 1 << up
 
 
 def _shift_vector(mu_weight, N: int) -> tuple:
@@ -96,21 +94,44 @@ def _alternating_sum(lam, mu, N, wall):
     # Both products are commutative, so walk the contents of the smaller module.
     if module_dimension(mu, N) < module_dimension(lam, N):
         lam, mu = mu, lam
-    shape = weight_to_partition(lam)
     shift = _shift_vector(mu, N)
+    strips: dict = {}  # shape: horizontal_strips(shape), for this call
+    level = {weight_to_partition(lam): {0: 1}}  # shape left: {used: signed count}
+    for i in range(N - 1, -1, -1):
+        nxt: dict = {}
+        for shape, counts in level.items():
+            if shape not in strips:
+                strips[shape] = horizontal_strips(shape)
+            for rest, size in strips[shape]:
+                if len(rest) > i:  # entries 1..i fill at most i rows
+                    continue
+                x = size + shift[i]
+                bit = 1 << x
+                target = nxt.setdefault(rest, {})
+                for used, count in counts.items():
+                    if used & bit:  # a repeated entry lies on a wall
+                        continue
+                    # x passes every larger entry placed so far
+                    if (used >> x).bit_count() % 2:
+                        count = -count
+                    used |= bit
+                    target[used] = target.get(used, 0) + count
+        level = {}
+        for rest, target in nxt.items():
+            target = {used: count for used, count in target.items() if count}
+            if target:
+                level[rest] = target
     acc: dict = {}
-    for nu, count in dominant_kostka(shape, N).items():
-        for content in repeat_free_permutations(nu, shift):
-            seq = tuple(c + s for c, s in zip(content, shift))
-            res = _reflect_to_fundamental(seq, wall)
-            if res is None:
-                continue
-            sign, s = res
-            acc[s] = acc.get(s, 0) + sign * count
+    for used, count in level.get((), {}).items():
+        res = _reflect_to_fundamental(used, wall)
+        if res is not None:
+            sign, used = res
+            acc[used] = acc.get(used, 0) + sign * count
     out: dict = {}
-    for s, mult in acc.items():
+    for used, mult in acc.items():
         if mult == 0:
             continue
+        s = tuple(j for j in range(used.bit_length() - 1, -1, -1) if used >> j & 1)
         if mult < 0:
             raise ArithmeticError(
                 f"negative multiplicity {mult} at {s}; alternating sum failed"

@@ -149,6 +149,19 @@ class TestFuse:
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == "AGREE"
 
+    def test_method_all_agrees_on_deep_column(self, run):
+        # a 1,099-row column times a box is the identity at level 1; the
+        # Kac-Walton walk branches once per row of the column
+        lhs = "[" + ",".join(["1"] * 1099) + "]"
+        code, out, err = run(
+            "fuse", "--N", "1100", "--k", "1", "--lhs", lhs, "--rhs", "[1]",
+            "--method", "all",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "jacobi-trudi: 1*[]", "orbit: 1*[]", "kac-walton: 1*[]", "AGREE"
+        ]
+
     def test_negative_multiplicity_exits_1(self, run, monkeypatch):
         from fusionkit import weyl
 

@@ -25,7 +25,6 @@ from fusionkit.partitions import (
     partition_to_weight,
     partitions_in_box,
     reduce_full_columns,
-    repeat_free_permutations,
     tableau_contents,
     weight_to_orbit,
     weight_to_partition,
@@ -394,46 +393,6 @@ class TestTableauContents:
 
     def test_strips_removed_from_a_deep_column(self):
         assert _strips_removed((1,) * 1500, 1) == [(1,) * 1499]
-
-
-class TestRepeatFreePermutations:
-    def test_matches_filtered_permutations(self):
-        # every content nu and every shift mu + rho from the N x 3 box
-        for N in (2, 3, 4, 5, 6):
-            box = [padded(p, N) for p in partitions_in_box(N, 3)]
-            shifts = [tuple(mu[j] + N - 1 - j for j in range(N)) for mu in box]
-            for nu in box:
-                perms = list(iter_distinct_permutations(nu))
-                for shift in shifts:
-                    got = repeat_free_permutations(nu, shift)
-                    expected = [
-                        c
-                        for c in perms
-                        if len({x + s for x, s in zip(c, shift)}) == N
-                    ]
-                    assert got == expected, (nu, shift)
-
-    def test_lexicographic_without_repeats(self):
-        # 4 of the 12 distinct permutations: (0,1,1,2) + shift = (3,3,2,2)
-        got = repeat_free_permutations((2, 1, 1, 0), (3, 2, 1, 0))
-        assert got == sorted(set(got))
-        assert got == [(0, 2, 1, 1), (1, 0, 2, 1), (1, 1, 0, 2), (2, 1, 1, 0)]
-
-    def test_repeat_forced_everywhere(self):
-        # equal entries under a constant shift always collide
-        assert repeat_free_permutations((1, 1, 0), (0, 0, 0)) == []
-        assert repeat_free_permutations((0, 0), (1, 0)) == [(0, 0)]
-
-    def test_deep_positions(self):
-        # 1,500 positions: deeper than Python's recursion limit.  With the
-        # shift mu + rho of mu = (1), the 1 may only sit in one of the first
-        # two positions; anywhere else it meets the entry of the row above.
-        n = 1500
-        shift = tuple(m + n - 1 - j for j, m in enumerate(padded((1,), n)))
-        assert repeat_free_permutations(padded((1,), n), shift) == [
-            (0, 1) + (0,) * (n - 2),
-            (1,) + (0,) * (n - 1),
-        ]
 
 
 def _leibniz(start, q, step, hi):

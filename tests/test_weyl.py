@@ -33,6 +33,28 @@ def _sort_desc_signed(seq):
     return (-1 if inv % 2 else 1), tuple(sorted(seq, reverse=True))
 
 
+def _descending(used):
+    """The bits of a bitmask, largest first."""
+    return tuple(j for j in range(used.bit_length() - 1, -1, -1) if used >> j & 1)
+
+
+def _push_down(seq, wall):
+    """Reference: sort with sign, apply r0 while the spread is too wide."""
+    sign = 1
+    while True:
+        res = _sort_desc_signed(seq)
+        if res is None:
+            return None
+        sorting, s = res
+        sign *= sorting
+        if s[0] - s[-1] == wall:
+            return None
+        if s[0] - s[-1] < wall:
+            return sign, s
+        seq = (s[-1] + wall,) + s[1:-1] + (s[0] - wall,)
+        sign = -sign
+
+
 def _walk_every_content(lam, mu, N, wall):
     """The alternating sum over every tableau content, repeats included.
 
@@ -44,11 +66,7 @@ def _walk_every_content(lam, mu, N, wall):
     acc = {}
     for content, count in tableau_contents(weight_to_partition(lam), N).items():
         seq = tuple(c + s for c, s in zip(content, shift))
-        res = (
-            _sort_desc_signed(seq)
-            if wall is None
-            else weyl._reflect_to_fundamental(seq, wall)
-        )
+        res = _sort_desc_signed(seq) if wall is None else _push_down(seq, wall)
         if res is not None:
             sign, s = res
             acc[s] = acc.get(s, 0) + sign * count
@@ -59,9 +77,24 @@ def _walk_every_content(lam, mu, N, wall):
     }
 
 
+class TestReflection:
+    def test_matches_sort_and_reflect_reference(self):
+        # spreads up to 39 against walls from 2 to 12: several r0 steps,
+        # and the r0 images cross each other once the spread passes 2 * wall
+        rng = random.Random(5)
+        for _ in range(3000):
+            entries = sorted(rng.sample(range(40), rng.randint(1, 6)), reverse=True)
+            wall = rng.randint(len(entries) + 1, 12)
+            got = weyl._reflect_to_fundamental(sum(1 << x for x in entries), wall)
+            if got is not None:
+                got = got[0], _descending(got[1])
+            assert got == _push_down(tuple(entries), wall), (entries, wall)
+
+
 class TestAlternatingSum:
     @pytest.mark.parametrize(
-        "N, k, pairs", [(10, 2, 25), (12, 2, 8), (3, 12, 40), (4, 7, 40)]
+        "N, k, pairs",
+        [(10, 2, 25), (12, 2, 8), (3, 12, 40), (4, 7, 40), (8, 3, 40), (6, 6, 40)],
     )
     def test_kac_walton_matches_walk_over_every_content(self, N, k, pairs):
         b = basis(fusion_context(N, k))
@@ -73,7 +106,7 @@ class TestAlternatingSum:
             assert got == _walk_every_content(lam, mu, N, N + k), (lam, mu)
 
     def test_racah_speiser_matches_walk_over_every_content(self):
-        for N in (2, 3, 4, 5, 6):
+        for N in (2, 3, 4, 5, 6, 7, 8):
             shapes = list(partitions_in_box(N - 1, 3))
             rng = random.Random(N)
             for _ in range(30):
