@@ -260,21 +260,34 @@ def count_cylindric_tableaux(outer, inner, content, ctx) -> int:
     return level.get(inner, 0)
 
 
+def _strips_removed(lam, m: int) -> list:
+    """Partitions mu inside lam with lam/mu a horizontal strip of m boxes.
+
+    One row per pass; the list is lexicographically descending.
+    """
+    level = [((), m)]
+    for x, floor in zip(lam, lam[1:] + (0,)):
+        # this row and the rows below give up at most x boxes in one strip
+        level = [
+            (prefix + (x - take,), rest - take)
+            for prefix, rest in level
+            if rest <= x
+            for take in range(min(rest, x - floor) + 1)
+        ]
+    return [normalize(prefix) for prefix, rest in level if rest == 0]
+
+
 def horizontal_strips(lam) -> list:
     """Every (mu, |lam/mu|) with lam/mu a horizontal strip, in one pass.
 
     lam/mu is a horizontal strip iff lam_{i+1} <= mu_i <= lam_i for every
     row i, each row chosen on its own; the mu come out lexicographically
-    descending.
+    descending.  There are 2^r or more for r distinct parts; a caller that
+    wants one size takes _strips_removed, which prunes by size.
     """
     total = sum(lam)
     rows = product(*(range(x, y - 1, -1) for x, y in zip(lam, lam[1:] + (0,))))
     return [(mu[:-1] if mu and not mu[-1] else mu, total - sum(mu)) for mu in rows]
-
-
-def _strips_removed(lam, m: int) -> list:
-    """The mu of horizontal_strips(lam) with |lam/mu| = m, in its order."""
-    return [mu for mu, size in horizontal_strips(lam) if size == m]
 
 
 def dominant_kostka(shape, max_entry: int) -> dict:

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 import zlib
 
 import pytest
@@ -237,6 +238,18 @@ class TestOrbitProduct:
 
 
 class TestKostka:
+    def test_staircase_strip_answers(self, run):
+        # one strip of 30 boxes off the 30-row staircase, among 2^30 strips
+        outer = "[" + ",".join(map(str, range(30, 0, -1))) + "]"
+        inner = "[" + ",".join(map(str, range(29, -1, -1))) + "]"
+        start = time.perf_counter()
+        code, out, err = run(
+            "kostka", "--N", "30", "--k", "100",
+            "--outer", outer, "--inner", inner, "--content", "[30]",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (0, "1\n", "")
+
     def test_values(self, run):
         for k, expected in (("3", "1"), ("4", "3")):
             code, out, _ = run(

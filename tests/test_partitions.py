@@ -16,6 +16,7 @@ from fusionkit.partitions import (
     det_expand,
     dominant_kostka,
     fusion_context,
+    horizontal_strips,
     iter_distinct_permutations,
     level_k_weights,
     normalize,
@@ -388,11 +389,19 @@ class TestTableauContents:
                     reverse=True,
                 )
                 assert _strips_removed(lam, m) == expected, (lam, m)
+                every = [mu for mu, size in horizontal_strips(lam) if size == m]
+                assert every == expected, (lam, m)
                 cases += 1
         assert cases == 630
 
     def test_strips_removed_from_a_deep_column(self):
         assert _strips_removed((1,) * 1500, 1) == [(1,) * 1499]
+
+    def test_strips_removed_prunes_by_size(self):
+        # the 30-row staircase has 2^30 horizontal strips but one of 30 boxes;
+        # the walk keeps at most two prefixes per row
+        staircase = tuple(range(30, 0, -1))
+        assert _strips_removed(staircase, 30) == [staircase[1:]]
 
 
 def _leibniz(start, q, step, hi):
