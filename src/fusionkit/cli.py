@@ -4,9 +4,9 @@ Operand grammar (three bracket styles, so kinds cannot be confused):
 partitions ``[3,2,1]`` (empty ``[]``), weights ``{1,1}``, orbit
 representatives ``(2,1,0)``.  Expansions render as ``mult*label`` terms
 sorted by graded lexicographic key, or as ``fusionkit/expansion/v1`` JSON.
-Exit status: 0 success; 1 computational mismatch, internal invariant failure
-or an input too deep for a recursive kernel; 2 usage or parse error, or a
-``table --out`` file that cannot be written.
+Exit status: 0 success; 1 computational mismatch or internal invariant
+failure; 2 usage or parse error, or a ``table --out`` file that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -423,9 +423,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, RecursionError) as exc:
-        # an internal invariant failed (a negative multiplicity), or a content
-        # with many parts recursed deeper than Python allows
+    except ArithmeticError as exc:
+        # an internal invariant failed (a negative multiplicity)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

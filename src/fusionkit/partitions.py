@@ -290,58 +290,6 @@ def horizontal_strips(lam) -> list:
     return [(mu[:-1] if mu and not mu[-1] else mu, total - sum(mu)) for mu in rows]
 
 
-def dominant_kostka(shape, max_entry: int) -> dict:
-    """Kostka numbers K_{shape,nu} > 0 for the dominant contents nu.
-
-    Returns {nu padded to length max_entry: K_{shape,nu}} over the
-    partitions nu of |shape| with at most max_entry parts.  Only the nu
-    below shape in dominance order are walked (K vanishes elsewhere), and
-    each count comes from the branching rule: the boxes holding the largest
-    entry n form a horizontal strip of nu_n boxes, so K_{lam,nu} sums
-    K_{mu,(nu_1..nu_{n-1})} over the partitions mu with lam/mu such a strip.
-    The branching memo lives only for the call.  The nu are built one part
-    per pass, and a finished nu keeps its place, so the keys come out in
-    lexicographically descending order.
-    """
-    shape = normalize(shape)
-    total = sum(shape)
-    # nu <= shape in dominance: nu_1 + ... + nu_i <= shape_1 + ... + shape_i;
-    # nu has at most |shape| parts, as each is at least 1
-    bounds = [sum(shape[: i + 1]) for i in range(min(max_entry, total))]
-    memo: dict = {}
-
-    def kostka(lam, nu):
-        if len(lam) > len(nu):
-            return 0
-        if not nu:
-            return 1
-        key = (lam, nu)
-        if key not in memo:
-            memo[key] = sum(
-                kostka(mu, nu[:-1]) for mu in _strips_removed(lam, nu[-1])
-            )
-        return memo[key]
-
-    level = [((), total)]  # (nu so far, boxes left)
-    for bound in bounds:
-        nxt = []
-        for nu, rest in level:
-            if rest:
-                cap = bound - (total - rest)
-                top = min(nu[-1], cap) if nu else cap
-                nxt.extend((nu + (x,), rest - x) for x in range(top, 0, -1))
-            else:
-                nxt.append((nu, rest))
-        level = nxt
-
-    counts: dict = {}
-    for nu, rest in level:
-        count = kostka(shape, nu) if rest == 0 else 0
-        if count:
-            counts[padded(nu, max_entry)] = count
-    return counts
-
-
 def tableau_contents(shape, max_entry: int) -> dict:
     """Content multiset of all tableaux of a straight shape, entries 1..max_entry.
 
@@ -349,13 +297,29 @@ def tableau_contents(shape, max_entry: int) -> dict:
     total count is the dimension of the irreducible module labelled by the
     shape.
 
-    No tableau is filled.  The count for a content is the Kostka number
-    K_{shape,nu} of its decreasing rearrangement nu, since weight
-    multiplicities are invariant under permuting the entries: each
-    dominant_kostka entry is expanded over its distinct permutations.
+    No tableau is filled.  Weight multiplicities are invariant under
+    permuting the entries, so only the partitions nu are counted (the
+    Kostka numbers K_{shape,nu}), then each is spread over its distinct
+    permutations.  The boxes holding the largest entry form a horizontal
+    strip, so the shape is peeled one strip per pass, largest entry first,
+    keeping {(shape left, nu so far): count}.  nu grows by its smallest part
+    first, so the parts still to come are each at least the next part m, and
+    a column holds distinct entries, so there are at least len(lam) of them:
+    m runs from the last part up to |lam| / len(lam).
     """
     counts: dict = {}
-    for nu, count in dominant_kostka(shape, max_entry).items():
-        for content in iter_distinct_permutations(nu):
-            counts[content] = count
+    level = {(normalize(shape), ()): 1}
+    for left in range(max_entry, -1, -1):
+        nxt: dict = {}
+        for (lam, nu), count in level.items():
+            if not lam:
+                for content in iter_distinct_permutations(padded(nu, max_entry)):
+                    counts[content] = count
+                continue
+            for m in range(nu[-1] if nu else 1, sum(lam) // len(lam) + 1):
+                for mu in _strips_removed(lam, m):
+                    if len(mu) < left:  # entries 1..left-1 fill mu
+                        key = (mu, nu + (m,))
+                        nxt[key] = nxt.get(key, 0) + count
+        level = nxt
     return counts

@@ -14,10 +14,8 @@ from fusionkit.partitions import (
     conjugate,
     count_cylindric_tableaux,
     det_expand,
-    dominant_kostka,
     fusion_context,
     horizontal_strips,
-    iter_distinct_permutations,
     level_k_weights,
     normalize,
     orbit_to_partition,
@@ -353,21 +351,29 @@ class TestTableauContents:
                 )
 
 
-    def test_dominant_kostka_expanded_over_permutations(self):
+    def test_more_rows_than_entries_is_empty(self):
+        assert tableau_contents((1, 1, 1), 2) == {}
+        assert tableau_contents((3, 2, 2, 1), 3) == {}
+
+    def test_empty_shape(self):
         for N in (2, 3, 4, 5):
-            for shape in partitions_in_box(N, 3):
-                kostka = dominant_kostka(shape, N)
-                assert all(
-                    len(nu) == N and list(nu) == sorted(nu, reverse=True) and count > 0
-                    for nu, count in kostka.items()
-                )
-                expanded = {
-                    content: count
-                    for nu, count in kostka.items()
-                    for content in iter_distinct_permutations(nu)
-                }
-                assert expanded == tableau_contents(shape, N), (N, shape)
-                assert list(kostka) == sorted(kostka, reverse=True), (N, shape)
+            assert tableau_contents((), N) == {(0,) * N: 1}
+
+    def test_total_is_weyl_dimension_on_seeded_shapes(self):
+        # Weyl's product formula shares no code with the strip walk; the
+        # staircase (6,5,4,3,2,1) at N = 7 has 2^21 tableaux
+        rng = random.Random(7)
+        cases = [((6, 5, 4, 3, 2, 1), 7)]
+        for _ in range(40):
+            parts = sorted(rng.randint(1, 4) for _ in range(rng.randint(1, 7)))
+            cases.append((tuple(parts[::-1]), rng.randint(max(len(parts), 2), 8)))
+        for shape, N in cases:
+            contents = tableau_contents(shape, N)
+            assert all(len(c) == N and sum(c) == sum(shape) for c in contents)
+            assert sum(contents.values()) == module_dimension(
+                partition_to_weight(shape, N), N
+            ), (shape, N)
+        assert module_dimension(partition_to_weight(cases[0][0], 7), 7) == 2**21
 
     def test_strips_removed_against_filtered_subshapes(self):
         # mu inside lam with mu_i >= lam_{i+1} and |lam| - |mu| = m
