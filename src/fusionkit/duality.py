@@ -101,8 +101,8 @@ def quotient_table(ctx) -> QuotientTable:
                 raise _not_well_defined(
                     base, a, b, f"{pa}*{pb}", row, f"{pb}*{pa}", rows[b * n + a]
                 )
-            shifted = tuple(sorted((J[c], m) for c, m in row))
-            if rows[J[a] * n + b] != shifted:
+            if dict(rows[J[a] * n + b]) != {J[c]: m for c, m in row}:
+                shifted = tuple(sorted((J[c], m) for c, m in row))
                 raise _not_well_defined(
                     base, a, b, f"{base[J[a]]}*{pb}", rows[J[a] * n + b],
                     f"J({pa}*{pb})", shifted,

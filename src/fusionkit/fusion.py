@@ -309,27 +309,50 @@ class AxiomReport:
 
 def _first_difference(x: dict, y: dict):
     """Smallest key at which two sparse vectors differ, or None."""
-    if x == y:
+    if x is y or x == y:
         return None
     return min((e for e in x.keys() | y.keys() if x.get(e, 0) != y.get(e, 0)), default=None)
 
 
 def _associator(t, a, b, c):
     """First e with ((ab)c)_e != (a(bc))_e on sparse rows t, as (e, left, right);
-    None when the two products agree."""
-    left: dict = {}
-    get = left.get
+    None when the two products agree.  Both are summed into dense lists."""
+    n = len(t)
+    left = [0] * n
     for d, m in t[a][b].items():
         for e, x in t[d][c].items():
-            left[e] = get(e, 0) + m * x
-    right: dict = {}
-    get = right.get
+            left[e] += m * x
+    right = [0] * n
     row = t[a]
     for d, m in t[b][c].items():
         for e, x in row[d].items():
-            right[e] = get(e, 0) + m * x
-    e = _first_difference(left, right)
-    return None if e is None else (e, left.get(e, 0), right.get(e, 0))
+            right[e] += m * x
+    if left == right:
+        return None
+    e = next(e for e in range(n) if left[e] != right[e])
+    return e, left[e], right[e]
+
+
+def _symmetry_witness(t, sigma):
+    """Lexicographically first (a, b, c) at which N_ab^{sigma c}, N_cb^{sigma a}
+    and N_ac^{sigma b} are not all equal, or None.
+
+    A triple fails only where one of the three is nonzero, so the scan visits
+    the triples that put each N_pq^r != 0 in one of the three places.
+    """
+    n = len(t)
+    return min(
+        (
+            (a, b, c)
+            for p, q in itertools.product(range(n), repeat=2)
+            for s in (sigma[r] for r in t[p][q])
+            for a, b, c in ((p, q, s), (s, q, p), (p, s, q))
+            if not t[a][b].get(sigma[c], 0)
+            == t[c][b].get(sigma[a], 0)
+            == t[a][c].get(sigma[b], 0)
+        ),
+        default=None,
+    )
 
 
 def _light_generators(table: FusionTable, t, omega):
@@ -379,10 +402,22 @@ def verify_fusion_axioms(table: FusionTable) -> AxiomReport:
     every g in a generating set G (_light_generators).  By Teichmueller's
     identity [a, gh, c] = [ag, h, c] + [a, g, hc] - a[g, h, c] - [a, g, h]c
     the middle factors with a vanishing associator form a subalgebra, and it
-    holds omega and G.  That visits n^2 |G| triples instead of n^3.  If G is
-    not shown to generate the table, or some [a, g, c] is nonzero, the full
-    scan over every triple runs and reports the lexicographically first
-    witness, as it would on its own.
+    holds omega and G.  On a commutative table [c, g, a] = (cg)a - c(ga) =
+    a(gc) - (ag)c = -[a, g, c], so the pairs a <= c are enough: n(n+1)/2 |G|
+    triples instead of n^3.  If G is not shown to generate the table, or some
+    [a, g, c] is nonzero, the full scan over every triple runs and reports
+    the lexicographically first witness, as it would on its own.
+
+    Total symmetry asks N_ab^{sigma c} to be invariant under S_3 acting on
+    (a, b, c).  Commutativity gives the swap of a and b, and the swap of b
+    and c generates S_3 with it, so on a commutative table the test
+    N_{p, sigma r}^{sigma q} = N_pq^r over the nonzero N_pq^r is enough: one
+    lookup per nonzero constant.  If it fails, or the table is not
+    commutative, the exact scan (_symmetry_witness) names the witness.
+
+    The rows are read as dicts, one per unordered pair {a, b} when the rows
+    of (a, b) and (b, a) are equal tuples: the same object in a built table,
+    equal tuples in a loaded one.
     """
     n = len(table.basis)
     checks = []
@@ -398,11 +433,15 @@ def verify_fusion_axioms(table: FusionTable) -> AxiomReport:
     )
     checks.append(("non-negative integer constants", witness is None, witness))
 
-    # t[a][b] is the row N_ab^. as a dict holding only its nonzero values
-    t = [
-        [{c: m for c, m in table.constants[a * n + b] if m} for b in range(n)]
-        for a in range(n)
-    ]
+    # t[a][b] is the row N_ab^. as a dict holding only its nonzero values;
+    # t[b][a] is the same dict when the two rows are equal tuples
+    rows = table.constants
+    t = [[None] * n for _ in range(n)]
+    for a, b in itertools.combinations_with_replacement(range(n), 2):
+        row, other = rows[a * n + b], rows[b * n + a]
+        t[a][b] = {c: m for c, m in row if m}
+        same = other is row or other == row
+        t[b][a] = t[a][b] if same else {c: m for c, m in other if m}
 
     witness = None
     for a, b in itertools.product(range(n), repeat=2):
@@ -425,7 +464,7 @@ def verify_fusion_axioms(table: FusionTable) -> AxiomReport:
     if gens is None or any(
         _associator(t, a, g, c) is not None
         for g in gens
-        for a, c in itertools.product(range(n), repeat=2)
+        for a, c in itertools.combinations_with_replacement(range(n), 2)
     ):
         for a, b, c in itertools.product(range(n), repeat=3):
             found = _associator(t, a, b, c)
@@ -453,24 +492,19 @@ def verify_fusion_axioms(table: FusionTable) -> AxiomReport:
         ok, witness = False, ("sigma", sigma)
     checks.append(("conjugation is a permutation with C^2 = I", ok, witness))
 
-    if ok:
-        # N_ab^{sigma c} = N_cb^{sigma a} = N_ac^{sigma b} fails only where one
-        # side is nonzero: visit the triples that put each N_pq^r != 0 there
-        witness = min(
-            (
-                (a, b, c)
-                for p, q in itertools.product(range(n), repeat=2)
-                for s in (sigma[r] for r in t[p][q])
-                for a, b, c in ((p, q, s), (s, q, p), (p, s, q))
-                if not t[a][b].get(sigma[c], 0)
-                == t[c][b].get(sigma[a], 0)
-                == t[a][c].get(sigma[b], 0)
-            ),
-            default=None,
-        )
-        checks.append(("total symmetry of N_{a,b,c}", witness is None, witness))
-    else:
+    if not ok:
         checks.append(("total symmetry of N_{a,b,c}", False, "no conjugation"))
+        return AxiomReport(checks)
+    # the one-transposition gate: N_{p, sigma r}^{sigma q} = N_pq^r, tp = t[p]
+    witness = None
+    if not commutative or not all(
+        tp[sigma[r]].get(sigma[q], 0) == m
+        for tp in t
+        for q, row in enumerate(tp)
+        for r, m in row.items()
+    ):
+        witness = _symmetry_witness(t, sigma)
+    checks.append(("total symmetry of N_{a,b,c}", witness is None, witness))
     return AxiomReport(checks)
 
 

@@ -168,9 +168,13 @@ def module_dimension(lam, N: int) -> int:
     """
     p = padded(weight_to_partition(_check_weight(lam, N)), N)
     num = den = 1
+    end = 0
     for i in range(N):
-        for j in range(i + 1, N):
-            if p[i] != p[j]:  # otherwise the factor is 1
-                num *= p[i] - p[j] + j - i
-                den *= j - i
+        if end <= i:  # end of the block of parts equal to p[i]
+            end = i + 1
+            while end < N and p[end] == p[i]:
+                end += 1
+        for j in range(end, N):  # pairs inside a block give the factor 1
+            num *= p[i] - p[j] + j - i
+            den *= j - i
     return num // den

@@ -166,6 +166,33 @@ class TestQuotientTable:
         assert cli.main(["duality", "--N", "3", "--k", "3"]) == 1
         assert "error: quotient product not well defined" in capsys.readouterr().err
 
+    def test_edited_row_names_both_sides(self, monkeypatch):
+        # one symmetric edit; the message shows both rows, the shifted one
+        # sorted by its shifted indices
+        cases = [
+            ((3, 3), (1,), (2, 1), (1, 1),
+             "quotient product not well defined at pair ((1,), (2, 1)): "
+             "(3, 1)*(2, 1) = {(1,): 1, (2, 2): 1, (3, 1): 1} but "
+             "J((1,)*(2, 1)) = {(1,): 1, (2,): 1, (2, 2): 1, (3, 1): 1}"),
+            ((3, 4), (3,), (2,), (4, 1),
+             "quotient product not well defined at pair ((1, 1), (2,)): "
+             "(3,)*(2,) = {(3, 2): 1, (4, 1): 2} but "
+             "J((1, 1)*(2,)) = {(3, 2): 1, (4, 1): 1}"),
+        ]
+        for (N, k), p, q, r, expected in cases:
+            real = full_table(fusion_context(N, k))
+            n = len(real.basis)
+            a, b, c = real.index(p), real.index(q), real.index(r)
+            rows = list(real.constants)
+            cell = dict(rows[a * n + b])
+            cell[c] = cell.get(c, 0) + 1
+            rows[a * n + b] = rows[b * n + a] = tuple(sorted(cell.items()))
+            edited = FusionTable(real.N, real.k, real.basis, tuple(rows))
+            monkeypatch.setattr(duality, "full_table", lambda ctx: edited)
+            with pytest.raises(ArithmeticError) as exc:
+                quotient_table(fusion_context(N, k))
+            assert str(exc.value) == expected
+
     def test_self_dual_builds_one_table(self, monkeypatch):
         calls = []
 

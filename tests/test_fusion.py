@@ -766,7 +766,8 @@ class TestLightAssociativity:
             n = len(table.basis)
             associator_visits.clear()
             assert verify_fusion_axioms(table).ok, (N, k)
-            assert len(associator_visits) == n * n * min(N - 1, k), (N, k)
+            # [c, g, a] = -[a, g, c] on a commutative table: pairs a <= c only
+            assert len(associator_visits) == n * (n + 1) // 2 * min(N - 1, k), (N, k)
             # the middle factors are the one-column or one-row labels
             middles = {table.basis[b] for _, b, _ in associator_visits}
             if N - 1 <= k:
@@ -806,3 +807,82 @@ class TestLightAssociativity:
         assert report.ok
         assert report.checks == _dense_checks(t)
         assert associator_visits == list(itertools.product(range(3), repeat=3))
+
+
+@pytest.fixture
+def symmetry_scans(monkeypatch):
+    """Count the calls of fusion._symmetry_witness, the exact symmetry scan."""
+    calls = []
+    real = fusion._symmetry_witness
+
+    def counting(t, sigma):
+        calls.append(1)
+        return real(t, sigma)
+
+    monkeypatch.setattr(fusion, "_symmetry_witness", counting)
+    return calls
+
+
+class TestAxiomGates:
+    def test_bc_swap_breaks_only_the_symmetry_gate(self, symmetry_scans):
+        # a symmetric edit away from the identity column keeps commutativity
+        # and the conjugation, so N_ab^{sigma c} stays symmetric in a, b and
+        # breaks only under the swap of b and c
+        for N, k in ((3, 3), (5, 2), (2, 6)):
+            ctx = fusion_context(N, k)
+            t0 = _dense(full_table(ctx))
+            base = tuple(basis(ctx))
+            n = len(base)
+            for a, b, c in ((1, 2, n - 1), (2, n - 1, 1), (n - 1, n - 1, 2), (1, 3, 2)):
+                t = [[list(col) for col in row] for row in t0]
+                t[a][b][c] = t[b][a][c] = t0[a][b][c] + 1
+                symmetry_scans.clear()
+                report = verify_fusion_axioms(FusionTable(N, k, base, _sparse(t)))
+                assert report.checks == _dense_checks(t), (N, k, a, b, c)
+                passed = {name: ok for name, ok, _ in report.checks}
+                assert passed["commutativity"]
+                assert passed["conjugation is a permutation with C^2 = I"]
+                assert not passed["total symmetry of N_{a,b,c}"], (N, k, a, b, c)
+                assert len(symmetry_scans) == 1
+
+    def test_non_commutative_table_takes_exact_scan(self, symmetry_scans):
+        # N_ab^{sigma b} + 1 alone keeps N_ab^{sigma c} symmetric in b, c, so
+        # the gate holds; only the broken swap of a and b shows the failure
+        for N, k in ((3, 3), (5, 2)):
+            ctx = fusion_context(N, k)
+            t0 = _dense(full_table(ctx))
+            base = tuple(basis(ctx))
+            n = len(base)
+            sigma = [next(b for b in range(n) if t0[a][b][0]) for a in range(n)]
+            for a, b in ((1, 2), (2, n - 1)):
+                t = [[list(col) for col in row] for row in t0]
+                t[a][b][sigma[b]] += 1
+                symmetry_scans.clear()
+                report = verify_fusion_axioms(FusionTable(N, k, base, _sparse(t)))
+                assert report.checks == _dense_checks(t), (N, k, a, b)
+                passed = {name: ok for name, ok, _ in report.checks}
+                assert not passed["commutativity"]
+                assert passed["conjugation is a permutation with C^2 = I"]
+                assert not passed["total symmetry of N_{a,b,c}"], (N, k, a, b)
+                assert len(symmetry_scans) == 1
+
+    def test_loaded_table_reports_as_built(self, associator_visits):
+        for N, k in ((3, 4), (5, 2), (4, 3)):
+            built = full_table(fusion_context(N, k))
+            loaded = FusionTable.from_json_dict(json.loads(json.dumps(built.to_json_dict())))
+            n = len(built.basis)
+            # transposed rows are equal tuples, not one shared object
+            assert built.constants[n + 2] is built.constants[2 * n + 1]
+            assert loaded.constants[n + 2] == loaded.constants[2 * n + 1]
+            assert loaded.constants[n + 2] is not loaded.constants[2 * n + 1]
+            associator_visits.clear()
+            expected = verify_fusion_axioms(built).checks
+            built_visits = list(associator_visits)
+            associator_visits.clear()
+            assert verify_fusion_axioms(loaded).checks == expected, (N, k)
+            assert associator_visits == built_visits
+
+    def test_passing_table_skips_exact_symmetry_scan(self, symmetry_scans):
+        for N, k in LIGHT_CONTEXTS:
+            assert verify_fusion_axioms(full_table(fusion_context(N, k))).ok, (N, k)
+        assert symmetry_scans == []

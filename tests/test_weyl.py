@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import comb
 
@@ -7,6 +8,7 @@ from fusionkit import weyl
 from fusionkit.fusion import basis, multiply
 from fusionkit.partitions import (
     fusion_context,
+    padded,
     partition_to_weight,
     partitions_in_box,
     tableau_contents,
@@ -145,6 +147,22 @@ class TestWeightMultiplicities:
         N = 1100
         assert module_dimension((1,) + (0,) * (N - 2), N) == N
         assert module_dimension((0, 1) + (0,) * (N - 3), N) == comb(N, 2)
+        # the 1,099-row column: one block of equal parts, N - 1 factors
+        assert module_dimension((0,) * (N - 2) + (1,), N) == N
+
+    def test_dimensions_match_every_pair_product(self):
+        # Weyl's product over all pairs i < j, the factors of 1 included
+        def every_pair(p, N):
+            num = den = 1
+            for i, j in itertools.combinations(range(N), 2):
+                num *= p[i] - p[j] + j - i
+                den *= j - i
+            return num // den
+
+        for N in (6, 7):
+            for shape in partitions_in_box(5, 4):
+                lam = partition_to_weight(shape, N)
+                assert module_dimension(lam, N) == every_pair(padded(shape, N), N), (N, shape)
 
     def test_dimension_counts_tableaux(self):
         N = 7
