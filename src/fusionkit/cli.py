@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from . import duality as duality_mod
 from . import fusion, orbits, weyl
@@ -269,6 +268,8 @@ def cache_store(path: str, text: str) -> None:
 
     A failure warns and leaves the cache as it was; the table is still used.
     """
+    import tempfile  # only a cache miss writes; kept out of start-up
+
     tmp = None
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)

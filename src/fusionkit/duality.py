@@ -12,7 +12,7 @@ on representatives with a zero entry implements the isomorphism between the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fusion import full_table
 # Unused: perfbench/layertrace.py rebinds duality.multiply, an AttributeError without it.
@@ -50,15 +50,15 @@ def rank_level_dual(a, ctx) -> tuple:
     return padded(orbit_to_partition(a), N)
 
 
-@dataclass(frozen=True)
-class QuotientTable:
-    """Structure constants of the simple-current quotient algebra."""
+class QuotientTable(namedtuple("QuotientTable", "N k classes reps constants")):
+    """Structure constants of the simple-current quotient algebra.
 
-    N: int
-    k: int
-    classes: tuple  # tuple of frozensets of orbit representatives
-    reps: tuple  # canonical representative per class
-    constants: tuple  # constants[A][B][C]
+    A named tuple of five fields: N, k; classes, a tuple of frozensets of
+    orbit representatives; reps, the canonical representative per class;
+    constants, indexed constants[A][B][C].
+    """
+
+    __slots__ = ()
 
     def class_index(self, orbit) -> int:
         for i, members in enumerate(self.classes):
@@ -166,7 +166,14 @@ def verify_rank_level_duality(N: int, k: int) -> dict:
     image = []
     for rep in t1.reps:
         dual = rank_level_dual(rep, ctx)
-        image.append(t2.class_index(dual))
+        try:
+            image.append(t2.class_index(dual))
+        except KeyError:
+            report["witness"] = (
+                f"conjugate {dual} of representative {rep} lies in no "
+                f"({k}, {N}) class"
+            )
+            return report
     if sorted(image) != list(range(len(t2.classes))):
         report["witness"] = f"conjugation does not permute classes: {image}"
         return report

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import zlib
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .partitions import (
     conjugate,
@@ -28,7 +28,6 @@ from .partitions import (
     normalize,
     padded,
     partitions_in_box,
-    reduce_full_columns,
 )
 
 TABLE_SCHEMA = "fusionkit/table/v2"
@@ -74,27 +73,6 @@ def pieri_h(p, m: int, ctx) -> dict:
             # nu is weakly decreasing, non-negative: strip its c full columns
             key = tuple(x - c for x in acc if x > c)
             out[key] = out.get(key, 0) + 1
-    return out
-
-
-def pieri_e(p, m: int, ctx) -> dict:
-    """Multiply by e_m: column strips with the nu_1 - nu_N <= k restriction."""
-    N, k = ctx
-    p = _check_basis_element(p, ctx)
-    if not 0 <= m <= N:
-        raise ValueError(f"m = {m} out of range 0..{N}")
-    pp = padded(p, N)
-    out: dict = {}
-    for rows in itertools.combinations(range(N), m):
-        nu = list(pp)
-        for r in rows:
-            nu[r] += 1
-        if any(nu[i] < nu[i + 1] for i in range(N - 1)):
-            continue
-        if nu[0] - nu[N - 1] > k:
-            continue
-        key = reduce_full_columns(tuple(nu), N)
-        out[key] = out.get(key, 0) + 1
     return out
 
 
@@ -169,18 +147,18 @@ def tensor_multiply(p, q, N: int) -> dict:
 # -- tables and axioms --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FusionTable:
+class FusionTable(namedtuple("FusionTable", "N k basis constants")):
     """Sparse structure constants over an ordered basis.
 
     constants[a * n + b] is the tuple of pairs (c, N_ab^c) with N_ab^c != 0,
     in increasing c: the layout of the JSON ``constants`` field.
+
+    A named tuple of four fields, so len(table) is 4 and a table unpacks as
+    N, k, basis, constants; index() is the position of a label in the basis,
+    not tuple.index.
     """
 
-    N: int
-    k: int
-    basis: tuple
-    constants: tuple
+    __slots__ = ()
 
     def index(self, p) -> int:
         return self.basis.index(normalize(p))
@@ -293,11 +271,13 @@ def full_table(ctx) -> FusionTable:
     return FusionTable(N, k, base, tuple(constants))
 
 
-@dataclass
-class AxiomReport:
-    """Outcome of the fusion-algebra axiom checks, with failure witnesses."""
+class AxiomReport(namedtuple("AxiomReport", "checks")):
+    """Outcome of the fusion-algebra axiom checks, with failure witnesses.
 
-    checks: list
+    A named tuple of one field, checks: a list of (name, passed, witness).
+    """
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

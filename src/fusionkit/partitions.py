@@ -17,15 +17,15 @@ or by column heights (orbit).
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator, NamedTuple
 
 
-class FusionContext(NamedTuple):
+class FusionContext(namedtuple("FusionContext", "N k")):
     """Rank parameter N >= 2 and level k >= 1 for A_{N-1} at level k."""
 
-    N: int
-    k: int
+    __slots__ = ()
 
 
 def fusion_context(N, k) -> FusionContext:
@@ -263,18 +263,26 @@ def count_cylindric_tableaux(outer, inner, content, ctx) -> int:
 def _strips_removed(lam, m: int) -> list:
     """Partitions mu inside lam with lam/mu a horizontal strip of m boxes.
 
-    One row per pass; the list is lexicographically descending.
+    lam must be canonical.  A strip keeps lam_{i+1} <= mu_i, so in a block
+    of equal parts only the last row can give up boxes: one block per pass.
+    Only the last row of lam can reach 0.  The list is lexicographically
+    descending.
     """
     level = [((), m)]
-    for x, floor in zip(lam, lam[1:] + (0,)):
-        # this row and the rows below give up at most x boxes in one strip
+    start = 0
+    for end, (x, floor) in enumerate(zip(lam, lam[1:] + (0,)), 1):
+        if floor == x:
+            continue
+        keep = lam[start : end - 1]
+        start = end
+        # this block's last row and the rows below give up at most x boxes
         level = [
-            (prefix + (x - take,), rest - take)
+            (prefix + keep + (x - take,), rest - take)
             for prefix, rest in level
             if rest <= x
             for take in range(min(rest, x - floor) + 1)
         ]
-    return [normalize(prefix) for prefix, rest in level if rest == 0]
+    return [mu[:-1] if mu and not mu[-1] else mu for mu, rest in level if rest == 0]
 
 
 def horizontal_strips(lam) -> list:

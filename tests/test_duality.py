@@ -230,3 +230,22 @@ class TestRankLevelDuality:
     def test_rejects_level_one(self):
         with pytest.raises(ValueError):
             verify_rank_level_duality(3, 1)
+
+    def test_conjugate_outside_every_class_is_a_witness(self, monkeypatch, capsys):
+        # a conjugate with entries equal to k is no orbit of the (k, N) side
+        monkeypatch.setattr(duality, "rank_level_dual", lambda a, ctx: (ctx.k,) * ctx.N)
+        report = verify_rank_level_duality(3, 4)
+        assert report == {
+            "N": 3,
+            "k": 4,
+            "classes": 5,
+            "isomorphic": False,
+            "witness": "conjugate (4, 4, 4) of representative (0, 0, 0, 0) "
+            "lies in no (4, 3) class",
+        }
+
+        for fmt in ("text", "json"):
+            assert cli.main(["duality", "--N", "3", "--k", "4", "--format", fmt]) == 1
+            out, err = capsys.readouterr()
+            assert "conjugate (4, 4, 4) of representative (0, 0, 0, 0)" in out
+            assert err == ""

@@ -15,7 +15,6 @@ from fusionkit.fusion import (
     gepner_witten_a1,
     multiply,
     multiply_by_h_sequence,
-    pieri_e,
     pieri_h,
     tensor_multiply,
     verify_fusion_axioms,
@@ -204,38 +203,6 @@ class TestPieriH:
     def test_rejects_partition_outside_box(self):
         with pytest.raises(ValueError):
             pieri_h((4,), 1, CTX33)
-
-
-class TestPieriE:
-    def test_e_n_is_identity(self):
-        for ctx in (CTX33, CTX43):
-            N, _ = ctx
-            for p in basis(ctx):
-                assert pieri_e(p, N, ctx) == {p: 1}
-
-    def test_empty_times_e_m(self):
-        for m in range(4):
-            expected = normalize((1,) * m)
-            assert pieri_e((), m, CTX43) == {reduce_full_columns(expected, 4): 1}
-
-    def test_two_column_strip(self):
-        # nu over (2,1): (3,2), (3,1,1)->(2), (2,2,1)->(1,1)
-        assert pieri_e((2, 1), 2, CTX33) == {(3, 2): 1, (2,): 1, (1, 1): 1}
-
-    def test_matches_strip_definition(self):
-        N, k = CTX33
-        candidates = list(partitions_in_box(N, k + 1))
-        for p in basis(CTX33):
-            for m in range(N + 1):
-                expected = {}
-                for nu in candidates:
-                    nu_pad = padded(nu, N)
-                    if nu_pad[0] - nu_pad[N - 1] > k:
-                        continue
-                    if _is_column_strip(nu, p, m):
-                        key = reduce_full_columns(nu, N)
-                        expected[key] = expected.get(key, 0) + 1
-                assert pieri_e(p, m, CTX33) == expected
 
 
 class TestMultiply:
