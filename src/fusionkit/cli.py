@@ -6,7 +6,8 @@ representatives ``(2,1,0)``.  Expansions render as ``mult*label`` terms
 sorted by graded lexicographic key, or as ``fusionkit/expansion/v1`` JSON.
 Exit status: 0 success; 1 computational mismatch or internal invariant
 failure; 2 usage or parse error, or a ``table --out`` file that cannot be
-written.
+written.  ``table`` reads and writes a cached table only in the directory
+that ``--cache-dir`` names; without it, no cache file is read or written.
 """
 
 from __future__ import annotations
@@ -229,22 +230,6 @@ def _cmd_weights(args) -> int:
 # -- table cache ---------------------------------------------------------------
 
 
-def _cache_dir(args) -> str:
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    env = os.environ.get("FUSIONKIT_CACHE")
-    if env:
-        return env
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
-    return os.path.join(base, "fusionkit")
-
-
-def cache_path(cache_dir: str, N: int, k: int) -> str:
-    return os.path.join(cache_dir, f"table_N{N}_k{k}.json")
-
-
 def cache_lookup(path: str, N: int, k: int):
     """Load a cached table; any problem warns and returns None (recompute)."""
     if not os.path.exists(path):
@@ -258,7 +243,7 @@ def cache_lookup(path: str, N: int, k: int):
         if list(table.basis) != fusion.basis((N, k)):
             raise ValueError("cached basis differs from the canonical basis")
         return table
-    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, RecursionError) as exc:
         print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
         return None
 
@@ -289,14 +274,16 @@ def cache_store(path: str, text: str) -> None:
 def _cmd_table(args) -> int:
     ctx = fusion_context(args.N, args.k)
     N, k = ctx
-    path = cache_path(_cache_dir(args), N, k)
-    table = cache_lookup(path, N, k)
-    text = None  # the table's JSON text, built at most once
+    path = table = text = None  # text: the table's JSON, built at most once
+    if args.cache_dir:
+        path = os.path.join(args.cache_dir, f"table_N{N}_k{k}.json")
+        table = cache_lookup(path, N, k)
     if table is None:
         table = fusion.full_table(ctx)
-        text = json.dumps(table.to_json_dict())
-        cache_store(path, text)
-    elif args.out or args.format == "json":
+        if path:
+            text = json.dumps(table.to_json_dict())
+            cache_store(path, text)
+    if text is None and (args.out or args.format == "json"):
         text = json.dumps(table.to_json_dict())
     if args.out:
         try:
@@ -310,7 +297,7 @@ def _cmd_table(args) -> int:
     if args.format == "json":
         print(text)
     else:
-        print(f"fusion table N={N} k={k}: {len(table.basis)} basis elements ({path})")
+        print(f"fusion table N={N} k={k}: {len(table.basis)} basis elements")
     if args.verify_axioms:
         report = fusion.verify_fusion_axioms(table)
         for name, passed, witness in report.checks:
@@ -395,12 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=_cmd_weights)
 
-    p = sub.add_parser("table", help="build or load the cached fusion table")
+    p = sub.add_parser("table", help="build a fusion table; --cache-dir caches it")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", help="also write the table JSON to this path")
     p.add_argument("--verify-axioms", action="store_true")
-    p.add_argument("--cache-dir")
+    p.add_argument("--cache-dir", help="read and write the table cache here")
     add_format(p)
     p.set_defaults(func=_cmd_table)
 

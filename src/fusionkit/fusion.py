@@ -186,6 +186,9 @@ class FusionTable(namedtuple("FusionTable", "N k basis constants")):
             )
         if data.get("schema") != TABLE_SCHEMA:
             raise ValueError(f"unsupported schema {data.get('schema')!r}")
+        N, k = data["N"], data["k"]
+        if type(N) is not int or type(k) is not int:
+            raise ValueError(f"bad context N={N!r}, k={k!r}")
         base = tuple(tuple(p) for p in data["basis"])
         n = len(base)
         constants = tuple(tuple(map(tuple, row)) for row in data["constants"])
@@ -199,10 +202,10 @@ class FusionTable(namedtuple("FusionTable", "N k basis constants")):
                 if type(m) is not int or m <= 0:
                     raise ValueError(f"bad multiplicity {m!r} for pair {pair}")
                 last = c
-        crc = _checksum(data["N"], data["k"], base, constants)
+        crc = _checksum(N, k, base, constants)
         if data.get("crc32") != crc:
             raise ValueError(f"crc32 {data.get('crc32')!r} does not match the table")
-        return cls(int(data["N"]), int(data["k"]), base, constants)
+        return cls(N, k, base, constants)
 
 
 def _checksum(N, k, base, constants) -> int:

@@ -345,6 +345,13 @@ class TestWeights:
         assert {t["mult"] for t in terms} == {1}
 
 
+def _match_crc32(data):
+    """Give an edited table document the crc32 of its edited content."""
+    body = [data["N"], data["k"], data["basis"], data["constants"]]
+    text = json.dumps(body, separators=(",", ":"))
+    data["crc32"] = zlib.crc32(text.encode())
+
+
 class TestTableCache:
     def test_round_trip(self, run, tmp_path):
         cache = str(tmp_path)
@@ -444,10 +451,7 @@ class TestTableCache:
     def test_permuted_basis_recomputes_with_warning(self, run, tmp_path):
         def edit(data):
             data["basis"][1], data["basis"][2] = data["basis"][2], data["basis"][1]
-            # a matching checksum, so that the basis check is what rejects it
-            body = [data["N"], data["k"], data["basis"], data["constants"]]
-            text = json.dumps(body, separators=(",", ":"))
-            data["crc32"] = zlib.crc32(text.encode())
+            _match_crc32(data)  # so that the basis check is what rejects it
 
         cache, path, good = self._edited_cache(run, tmp_path, edit)
         code, out, err = run(
@@ -459,6 +463,21 @@ class TestTableCache:
         with open(path) as fh:
             assert json.load(fh) == good
 
+    def test_non_integer_context_recomputes_with_warning(self, run, tmp_path):
+        for bad in (float("inf"), 3.0, "3", True):
+            def edit(data):
+                data["N"] = bad
+                _match_crc32(data)  # so that the type check is what rejects it
+
+            cache, path, good = self._edited_cache(run, tmp_path, edit)
+            code, out, err = run(
+                "table", "--N", "3", "--k", "2", "--cache-dir", cache, "--format", "json"
+            )
+            assert code == 0, bad
+            assert "warning" in err and "bad context" in err, bad
+            assert "Traceback" not in err
+            assert out == json.dumps(good) + "\n"
+
     def _clean_miss(self, run, tmp_path):
         args = ("table", "--N", "3", "--k", "2", "--format", "json")
         code, out, err = run(*args, "--cache-dir", str(tmp_path / "clean"))
@@ -469,11 +488,16 @@ class TestTableCache:
         args, miss = self._clean_miss(run, tmp_path)
         cache = tmp_path / "bad"
         cache.mkdir()
-        for doc in ("[1,2]", '"x"'):
+        for doc, why in (
+            ("[1,2]", "not an object"),
+            ('"x"', "not an object"),
+            ("[" * 200_000, "maximum recursion depth"),
+        ):
             (cache / "table_N3_k2.json").write_text(doc)
             code, out, err = run(*args, "--cache-dir", str(cache))
             assert code == 0
-            assert "warning" in err and "not an object" in err
+            assert "warning" in err and why in err
+            assert "Traceback" not in err
             assert out == miss
 
     def test_directory_at_cache_path_recomputes_with_warning(self, run, tmp_path):
@@ -495,17 +519,10 @@ class TestTableCache:
         assert out == miss
         assert cache.read_text() == "not a directory"
 
-    def test_env_var_cache_dir(self, run, tmp_path, monkeypatch):
-        monkeypatch.setenv("FUSIONKIT_CACHE", str(tmp_path))
-        code, _, _ = run("table", "--N", "2", "--k", "2")
-        assert code == 0
-        assert os.path.exists(os.path.join(str(tmp_path), "table_N2_k2.json"))
-
-    def test_verify_axioms_flag(self, run, tmp_path):
+    def test_verify_axioms_flag(self, run):
         code, out, _ = run(
             "table",
             "--N", "3", "--k", "2",
-            "--cache-dir", str(tmp_path),
             "--verify-axioms",
         )
         assert code == 0
@@ -517,7 +534,6 @@ class TestTableCache:
         code, _, _ = run(
             "table",
             "--N", "2", "--k", "3",
-            "--cache-dir", str(tmp_path),
             "--out", target,
         )
         assert code == 0
@@ -550,15 +566,26 @@ class TestTableCache:
         assert out == cached + "\n"
         # a hit printed as text serializes nothing
         code, out, _ = run("table", "--N", "3", "--k", "3", "--cache-dir", str(tmp_path))
-        assert code == 0 and out.startswith("fusion table N=3 k=3")
+        assert code == 0 and out == "fusion table N=3 k=3: 10 basis elements\n"
         assert len(calls) == 1
+        # without --cache-dir, a text run serializes nothing and writes no file
+        home = tmp_path / "home"
+        for name, path in (
+            ("HOME", home),
+            ("XDG_CACHE_HOME", home / "xdg"),
+            ("FUSIONKIT_CACHE", home / "fk"),
+        ):
+            monkeypatch.setenv(name, str(path))
+        code, out, _ = run("table", "--N", "3", "--k", "3", "--verify-axioms")
+        assert code == 0 and out.count("PASS") == 6
+        assert len(calls) == 1
+        assert not home.exists()
 
     def test_out_into_missing_directory_exits_2(self, run, tmp_path):
         target = tmp_path / "missing" / "copy.json"
         code, out, err = run(
             "table",
             "--N", "2", "--k", "2",
-            "--cache-dir", str(tmp_path / "cache"),
             "--out", str(target),
             "--verify-axioms",
         )
