@@ -362,9 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a", required=True, help="orbit tuple (2,1,0)")
     p.add_argument("--b", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--raw", action="store_true", default=True)
-    group.add_argument("--fixed", action="store_true", default=False)
+    p.add_argument("--fixed", action="store_true")
     add_format(p)
     p.set_defaults(func=_cmd_orbit_product)
 

@@ -15,13 +15,10 @@ from __future__ import annotations
 
 from .partitions import (
     det_expand,
-    iter_distinct_permutations,
     orbit_to_partition,
     padded,
     rep_from_multiplicities,
 )
-
-BRUTEFORCE_LIMIT = 8
 
 
 def _check_tuple(t, N: int) -> tuple:
@@ -101,29 +98,6 @@ def raw_orbit_product(a, b, ctx) -> dict:
         rep = rep_from_multiplicities(z_counts)
         result[rep] = result.get(rep, 0) + 1
     return result
-
-
-def m_coefficient_bruteforce(a, b, c, ctx) -> int:
-    """Count S_k-orbits of {(x, y, z) in [a] x [b] x [c] : x + y = z} directly.
-
-    Every diagonal orbit has a representative with x = a_hat, and two triples
-    are equivalent iff their multisets of coordinate columns coincide, so it
-    suffices to scan y over [b] and deduplicate the column multisets.  Kept
-    independent of the blockwise route in raw_orbit_product on purpose.
-    """
-    N, k = ctx
-    a, b, c = _check_orbits(ctx, a, b, c)
-    if k > BRUTEFORCE_LIMIT:
-        raise ValueError(f"k = {k} too large for brute-force orbit counting")
-    a_hat = standard_form(a, N)
-    c_hat = standard_form(c, N)
-    seen = set()
-    for y in iter_distinct_permutations(standard_form(b, N)):
-        z = tuple((x + yi) % N for x, yi in zip(a_hat, y))
-        if tuple(sorted(z, reverse=True)) != c_hat:
-            continue
-        seen.add(tuple(sorted(zip(a_hat, y))))
-    return len(seen)
 
 
 def special_orbit_product(a, m: int, ctx) -> dict:

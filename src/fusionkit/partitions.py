@@ -130,11 +130,6 @@ def partition_to_orbit(p, ctx) -> tuple:
     return weight_to_orbit(partition_to_weight(p, N), ctx)
 
 
-def level_k_weights(N: int, k: int) -> list:
-    """All weights (a_1, ..., a_{N-1}) with sum <= k, in lexicographic order."""
-    return sorted(partition_to_weight(p, N) for p in partitions_in_box(N - 1, k))
-
-
 def partitions_in_box(rows: int, cols: int) -> Iterator[tuple]:
     """All partitions with at most `rows` parts, each at most `cols`.
 

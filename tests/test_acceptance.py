@@ -21,7 +21,6 @@ from fusionkit.fusion import (
 )
 from fusionkit.orbits import (
     fixed_product,
-    m_coefficient_bruteforce,
     raw_orbit_product,
     special_orbit_product,
     tensor_orbit_product,
@@ -30,7 +29,6 @@ from fusionkit.orbits import (
 from fusionkit.partitions import (
     count_cylindric_tableaux,
     fusion_context,
-    level_k_weights,
     normalize,
     orbit_to_partition,
     partition_to_orbit,
@@ -44,6 +42,7 @@ from fusionkit.weyl import (
     racah_speiser_tensor,
     weight_multiplicities,
 )
+from oracles import all_orbits, brute_raw_product, level_k_weights
 
 THREE_WAY_CONTEXTS = [
     (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (6, 2), (7, 2),
@@ -194,15 +193,16 @@ def test_criterion_05_binomial_relation_rank_three():
         ctx = fusion_context(3, k)
         assert fw_a2_relation_check(ctx) == []
         # spot check against the independent brute-force counter
-        orbits = [weight_to_orbit(w, ctx) for w in level_k_weights(3, k)]
+        orbits = all_orbits(3, k)
         for a in orbits[: min(4, len(orbits))]:
             for b in orbits[: min(4, len(orbits))]:
                 fus = multiply(orbit_to_partition(a), orbit_to_partition(b), ctx)
+                raw = brute_raw_product(a, b, ctx)
                 for c in orbits:
                     predicted = comb(
                         fus.get(orbit_to_partition(c), 0) + 1, 2
                     )
-                    assert m_coefficient_bruteforce(a, b, c, ctx) == predicted
+                    assert raw.get(c, 0) == predicted
     print("ACCEPTANCE 5 PASS: raw coefficient = C(fusion + 1, 2) at N=3, k=1..3")
 
 
@@ -223,7 +223,7 @@ def test_criterion_06_nonassociativity_and_fix():
     for N in (2, 3, 4):
         for k in (1, 2, 3):
             ctx = fusion_context(N, k)
-            orbits = [weight_to_orbit(w, ctx) for w in level_k_weights(N, k)]
+            orbits = all_orbits(N, k)
             n = len(orbits)
             idx = {o: i for i, o in enumerate(orbits)}
             t = [[None] * n for _ in range(n)]

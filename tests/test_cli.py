@@ -208,7 +208,6 @@ class TestOrbitProduct:
             "orbit-product",
             "--N", "3", "--k", "3",
             "--a", "(2,1,0)", "--b", "(2,1,0)",
-            "--raw",
         )
         assert code == 0
         assert "3*(2,1,0)" in out

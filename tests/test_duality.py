@@ -9,11 +9,8 @@ from fusionkit.duality import (
 )
 from fusionkit.fusion import FusionTable, basis, full_table, pieri_h
 from fusionkit.orbits import simple_current_shift
-from fusionkit.partitions import (
-    fusion_context,
-    level_k_weights,
-    weight_to_orbit,
-)
+from fusionkit.partitions import fusion_context
+from oracles import all_orbits
 
 CTX43 = fusion_context(4, 3)
 
@@ -22,11 +19,6 @@ def sc_orbit(a, ctx) -> frozenset:
     """Test oracle: closure of {a} under shifting by every residue t."""
     N, _ = ctx
     return frozenset(simple_current_shift(a, t, ctx) for t in range(N))
-
-
-def all_orbits(N, k):
-    ctx = fusion_context(N, k)
-    return [weight_to_orbit(w, ctx) for w in level_k_weights(N, k)]
 
 
 class TestScOrbits:

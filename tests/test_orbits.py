@@ -8,7 +8,6 @@ from fusionkit import orbits
 from fusionkit.fusion import full_table
 from fusionkit.orbits import (
     fixed_product,
-    m_coefficient_bruteforce,
     orbit_multiplicities,
     raw_orbit_product,
     rep_from_multiplicities,
@@ -22,35 +21,14 @@ from fusionkit.partitions import (
     det_expand,
     fusion_context,
     iter_distinct_permutations,
-    level_k_weights,
     orbit_to_partition,
     partition_to_orbit,
     weight_to_orbit,
 )
+from oracles import all_orbits, brute_raw_product
 
 CTX33 = fusion_context(3, 3)
 CTX43 = fusion_context(4, 3)
-
-
-def all_orbits(N, k):
-    ctx = fusion_context(N, k)
-    return [weight_to_orbit(w, ctx) for w in level_k_weights(N, k)]
-
-
-def brute_raw_product(a, b, ctx):
-    """Reference product: walk [b] explicitly, deduplicate column multisets."""
-    N, k = ctx
-    out = {}
-    seen = set()
-    for y in set(itertools.permutations(b)):
-        key = tuple(sorted(zip(a, y)))
-        if key in seen:
-            continue
-        seen.add(key)
-        z = tuple((x + yi) % N for x, yi in zip(a, y))
-        rep = tuple(sorted(z, reverse=True))
-        out[rep] = out.get(rep, 0) + 1
-    return out
 
 
 class TestStandardForm:
@@ -70,7 +48,7 @@ class TestStandardForm:
 
 class TestOrbitElements:
     # the elements of an orbit are the distinct permutations of its standard
-    # form, which m_coefficient_bruteforce walks
+    # form; tableau_contents spreads each dominant content over them
     def test_three_elements(self):
         assert set(iter_distinct_permutations((1, 1, 0))) == {
             (1, 1, 0), (1, 0, 1), (0, 1, 1)
@@ -182,27 +160,6 @@ class TestBoundedCompositions:
             (0,) * 1499 + (1,),
             (1,) + (0,) * 1499,
         ]
-
-
-class TestBruteforceCoefficient:
-    def test_multiplicity_three(self):
-        assert m_coefficient_bruteforce((2, 1, 0), (2, 1, 0), (2, 1, 0), CTX33) == 3
-
-    def test_identity(self):
-        for o in all_orbits(3, 3):
-            assert m_coefficient_bruteforce(o, (0, 0, 0), o, CTX33) == 1
-
-    def test_single_coefficient(self):
-        assert m_coefficient_bruteforce((2, 1, 0), (1, 1, 0), (1, 1, 0), CTX33) == 1
-
-    def test_size_guard(self):
-        ctx = fusion_context(2, 9)
-        with pytest.raises(ValueError):
-            m_coefficient_bruteforce((1,) * 9, (0,) * 9, (1,) * 9, ctx)
-
-    def test_rejects_short_result_orbit(self):
-        with pytest.raises(ValueError, match="orbit lengths 3, 3, 2"):
-            m_coefficient_bruteforce((2, 1, 0), (2, 1, 0), (2, 1), CTX33)
 
 
 class TestSpecialProduct:
