@@ -5,9 +5,11 @@ partitions ``[3,2,1]`` (empty ``[]``), weights ``{1,1}``, orbit
 representatives ``(2,1,0)``.  Expansions render as ``mult*label`` terms
 sorted by graded lexicographic key, or as ``fusionkit/expansion/v1`` JSON.
 Exit status: 0 success; 1 computational mismatch or internal invariant
-failure; 2 usage or parse error, or a ``table --out`` file that cannot be
-written.  ``table`` reads and writes a cached table only in the directory
-that ``--cache-dir`` names; without it, no cache file is read or written.
+failure; 2 usage or parse error, a ``table --out`` file that cannot be
+written, or a standard output closed before all of it is written (as
+``| head`` does).  ``table`` reads and writes a cached table only in the
+directory that ``--cache-dir`` names; without it, no cache file is read or
+written.
 """
 
 from __future__ import annotations
@@ -416,7 +418,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # the flush at exit would fail again; point stdout at the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 2
+    sys.exit(status)
 
 
 if __name__ == "__main__":

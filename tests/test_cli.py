@@ -1,7 +1,10 @@
 import json
 import os
+import subprocess
+import sys
 import time
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -42,16 +45,19 @@ class TestFuse:
         assert out.strip() == "1*[] + 2*[2,1] + 1*[3] + 1*[3,3]"
 
     def test_method_all_agrees(self, run):
-        code, out, _ = run(
-            "fuse",
-            "--N", "3", "--k", "3",
-            "--lhs", "[2,1]", "--rhs", "[2,1]",
-            "--method", "all",
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[-1] == "AGREE"
-        assert len({line.split(": ", 1)[1] for line in lines[:-1]}) == 1
+        # (12,2): a tall case, with factors of 6 and 11 rows
+        for N, k, lhs, rhs in (
+            ("3", "3", "[2,1]", "[2,1]"),
+            ("12", "2", "[2,2,2,2,2,1]", "[2,2,2,2,2,2,2,2,1,1,1]"),
+        ):
+            code, out, _ = run(
+                "fuse", "--N", N, "--k", k, "--lhs", lhs, "--rhs", rhs,
+                "--method", "all",
+            )
+            assert code == 0, N
+            lines = out.strip().splitlines()
+            assert lines[-1] == "AGREE", N
+            assert len({line.split(": ", 1)[1] for line in lines[:-1]}) == 1, N
 
     def test_json_format(self, run):
         code, out, _ = run(
@@ -181,17 +187,20 @@ class TestFuse:
 
 class TestTensor:
     def test_methods_agree(self, run):
-        code1, out1, _ = run(
-            "tensor", "--N", "3", "--lhs", "[2,1]", "--rhs", "[2,1]",
-            "--method", "pieri",
-        )
-        code2, out2, _ = run(
-            "tensor", "--N", "3", "--lhs", "[2,1]", "--rhs", "[2,1]",
-            "--method", "racah-speiser",
-        )
-        assert code1 == code2 == 0
-        assert out1 == out2
-        assert "2*[2,1]" in out1
+        for N, lhs, rhs, term in (
+            ("3", "[2,1]", "[2,1]", "2*[2,1]"),
+            ("4", "[3,2,1]", "[2,2]", "2*[3,2,1]"),
+        ):
+            code1, out1, _ = run(
+                "tensor", "--N", N, "--lhs", lhs, "--rhs", rhs, "--method", "pieri"
+            )
+            code2, out2, _ = run(
+                "tensor", "--N", N, "--lhs", lhs, "--rhs", rhs,
+                "--method", "racah-speiser",
+            )
+            assert code1 == code2 == 0, N
+            assert out1 == out2, N
+            assert term in out1, N
 
     def test_deep_rank(self, run):
         for method in ("pieri", "racah-speiser"):
@@ -353,20 +362,21 @@ def _match_crc32(data):
 
 class TestTableCache:
     def test_round_trip(self, run, tmp_path):
-        cache = str(tmp_path)
-        code, out, _ = run(
-            "table", "--N", "3", "--k", "2", "--cache-dir", cache, "--format", "json"
-        )
-        assert code == 0
-        first = json.loads(out)
-        path = os.path.join(cache, "table_N3_k2.json")
-        assert os.path.exists(path)
-        code, out, err = run(
-            "table", "--N", "3", "--k", "2", "--cache-dir", cache, "--format", "json"
-        )
-        assert code == 0
-        assert json.loads(out) == first
-        assert err == ""
+        # the hit prints the miss's stdout, with and without the axiom lines
+        for i, extra in enumerate(((), ("--verify-axioms",))):
+            cache = str(tmp_path / str(i))
+            args = ("table", "--N", "3", "--k", "2", "--cache-dir", cache,
+                    "--format", "json", *extra)
+            code, miss, _ = run(*args)
+            assert code == 0
+            table = json.loads(miss.splitlines()[0])
+            assert table["schema"] == "fusionkit/table/v2"
+            path = os.path.join(cache, "table_N3_k2.json")
+            assert os.path.exists(path)
+            code, hit, err = run(*args)
+            assert code == 0
+            assert hit == miss
+            assert err == ""
 
     def test_corrupt_cache_recomputes_with_warning(self, run, tmp_path):
         cache = str(tmp_path)
@@ -582,17 +592,19 @@ class TestTableCache:
 
     def test_out_into_missing_directory_exits_2(self, run, tmp_path):
         target = tmp_path / "missing" / "copy.json"
-        code, out, err = run(
-            "table",
-            "--N", "2", "--k", "2",
-            "--out", str(target),
-            "--verify-axioms",
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: cannot write --out {target}: ")
-        assert "Traceback" not in err
-        assert not target.exists()
+        for cache in ((), ("--cache-dir", str(tmp_path / "cache"))):
+            code, out, err = run(
+                "table",
+                "--N", "2", "--k", "2",
+                "--out", str(target),
+                "--verify-axioms",
+                *cache,
+            )
+            assert code == 2, cache
+            assert out == ""
+            assert err.startswith(f"error: cannot write --out {target}: ")
+            assert "Traceback" not in err
+            assert not target.exists()
 
 
 class TestDuality:
@@ -617,3 +629,30 @@ class TestDuality:
         assert "k >= 2" in err and "dual rank parameter is k" in err
         assert "got k = 1" in err
         assert "N must be" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fuse", "--N", "3", "--k", "3", "--lhs", "[2,1]", "--rhs", "[2,1]"),
+        ("table", "--N", "4", "--k", "6", "--format", "json"),
+    ],
+    ids=["fuse", "table"],
+)
+def test_closed_stdout_exits_2_without_traceback(argv):
+    # the installed script runs entry(); a reader that stops early, as
+    # `| head -c 20` does, leaves stdout a pipe with no read end
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "fusionkit.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "")
